@@ -48,6 +48,7 @@ from .kernel import KernelEvaluator, orthonormalize
 from .propermaps import BlaschkeProduct, CorrespondenceModel, PolynomialMap, PowerMap
 from .transform import (
     adjoint_residual_matrix,
+    branch_table,
     operator_bound_check,
     recover_map,
     verify_correspondence,
@@ -400,8 +401,9 @@ def run_kernel(cfg, run: RunDir):
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
             gram_condition=ev.onb.gram_condition)
 
-    zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0))
-    ws = build_grid(cfg, "grid.w", cfg_get(cfg, "seed", 0))
+    seed = cfg_get(cfg, "seed", 0)
+    zs = build_grid(cfg, "grid.z", seed)
+    ws = build_grid(cfg, "grid.w", seed)
     if cfg_get(cfg, "output.csv", True):
         kgrid = ev.eval_kernel_grid(zs, ws)
         rows = []
@@ -415,8 +417,8 @@ def run_kernel(cfg, run: RunDir):
 
     gate = 0.0
     if cfg_get(cfg, "oracle", None) is not None:
-        ozs = build_grid(cfg, "oracle.grid.z", 0) if cfg_get(cfg, "oracle.grid", None) else zs
-        ows = build_grid(cfg, "oracle.grid.w", 0) if cfg_get(cfg, "oracle.grid", None) else ws
+        ozs = build_grid(cfg, "oracle.grid.z", seed) if cfg_get(cfg, "oracle.grid", None) else zs
+        ows = build_grid(cfg, "oracle.grid.w", seed) if cfg_get(cfg, "oracle.grid", None) else ws
         got = ev.eval_kernel_grid(ozs, ows)
         want = _oracle_values(cfg, ev, ozs, ows)
         rel = float(np.max(np.abs(got - want) / np.abs(want)))
@@ -458,35 +460,16 @@ def run_verify(cfg, run: RunDir):
         run.add(**{k: v})
 
     if cfg_get(cfg, "output.csv", True):
-        _write_residual_csv(run, model, ev1, ev2, zs, ws, has_map)
+        _write_residual_csv(run, report)
     return report.max_rel_residual
 
 
-def _write_residual_csv(run, model, ev1, ev2, zs, ws, has_map):
-    from .errors import BranchCountError, NearCriticalError, SingularLocusError
-
-    rows = []
-    for w in ws:
-        try:
-            if has_map:
-                b = model.local_inverses(w)
-            else:
-                b = model.backward_branches(w)
-        except (BranchCountError, NearCriticalError, SingularLocusError):
-            continue
-        rhs = ev1.eval_kernel_grid(zs, b.points) @ b.derivatives.conj()
-        for i, z in enumerate(zs):
-            try:
-                if has_map:
-                    lhs = model.deriv(z) * ev2.eval_kernel(model(z), w)
-                else:
-                    fb = model.forward_branches(z)
-                    lhs = complex(np.sum(fb.derivatives
-                                         * ev2.eval_kernel_grid(fb.points, [w])[:, 0]))
-            except (BranchCountError, NearCriticalError, SingularLocusError):
-                continue
-            rows.append((float(z.real), float(z.imag), float(w.real), float(w.imag),
-                         float(abs(lhs - rhs[i])), float(abs(lhs))))
+def _write_residual_csv(run, report):
+    """One row per kept sample of the sweep, w-major."""
+    j, i = np.nonzero(report.kept.T)
+    z, w, lhs = report.z[i], report.w[j], report.lhs[i, j]
+    cols = (z.real, z.imag, w.real, w.imag, np.abs(lhs - report.rhs[i, j]), np.abs(lhs))
+    rows = list(zip(*(c.tolist() for c in cols)))
     write_csv(run.file("samples.csv"),
               ["re_z", "im_z", "re_w", "im_w", "abs_residual", "abs_lhs"], rows)
 
@@ -504,7 +487,8 @@ def run_adjoint(cfg, run: RunDir):
     n_el = int(cfg_get(cfg, "adjoint.n_elements", 5))
 
     def first_phis(domain, rule, basis_key, w):
-        onb = orthonormalize(build_basis(cfg, domain, basis_key)[0], rule, w)
+        onb = orthonormalize(build_basis(cfg, domain, basis_key)[0], rule, w,
+                             float(cfg_get(cfg, "drop_tol", 1e-10)))
         return [onb.phi_function(k) for k in range(min(n_el, onb.retained_count))]
 
     worst = 0.0
@@ -513,11 +497,12 @@ def run_adjoint(cfg, run: RunDir):
         one = ConstantWeight()
         us = first_phis(d2, rule2, "basis2", one)
         vs = first_phis(d1, rule1, "basis", one)
-        res = adjoint_residual_matrix(corr, us, vs, rule1, rule2)
+        backward = branch_table(corr, rule2.nodes, forward=False)
+        res = adjoint_residual_matrix(corr, us, vs, rule1, rule2, backward=backward)
         worst = max(worst, float(np.max(res)))
         bound_ratio = 0.0
         for v in vs:
-            lhs, rhs = operator_bound_check(corr, v, rule1, rule2)
+            lhs, rhs = operator_bound_check(corr, v, rule1, rule2, backward=backward)
             bound_ratio = max(bound_ratio, lhs / rhs)
         run.add(gamma_max_residual=float(np.max(res)), bound_max_ratio=bound_ratio)
         if bound_ratio > 1 + 1e-6:

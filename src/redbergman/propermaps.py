@@ -2,16 +2,22 @@
 
 Maps are restricted to algebraic families (powers, Blaschke products,
 polynomials) so that properness is certifiable and branch solving
-reduces to polynomial root finding.  Roots come from the companion
-matrix (exactly what numpy's polyroots does) followed by one Newton
-polish step; branches are filtered by domain membership with a small
-boundary margin.
+reduces to polynomial root finding.  A map f = numer/denom is solved as
+its graph correspondence numer(z) - w*denom(z) = 0.
 
 Correspondences are bivariate polynomials Q(z, w); forward branches are
 the roots of Q(z, .), backward branches of Q(., w), with derivatives by
 implicit differentiation.  Singular sets are the discriminant loci
 (plus leading-coefficient zeros), computed by evaluating the Sylvester
 determinant on scaled roots of unity and interpolating.
+
+One batched engine solves all fibres of a query array: their
+companion matrices (as numpy's polycompanion builds them) go through one
+stacked ``np.linalg.eigvals`` call, and each row of roots is sorted as
+``polyroots`` sorts it and polished by one Newton step.  Every query gets
+a reason code: OK, NEAR_CRITICAL (near a map's critical value),
+SINGULAR_LOCUS (near a correspondence's singular set, or two roots
+closer than 1e-7) or BRANCH_COUNT (a branch is outside the domain).
 """
 
 from __future__ import annotations
@@ -41,48 +47,162 @@ __all__ = [
 MEMBERSHIP_MARGIN = 1e-12
 NEAR_CRITICAL_RADIUS = 1e-8
 CRITICAL_DEDUP_TOL = 1e-9
+MULTIPLE_ROOT_GAP = 1e-7
+
+OK, NEAR_CRITICAL, SINGULAR_LOCUS, BRANCH_COUNT = range(4)
+_FAILURES = {
+    NEAR_CRITICAL: (NearCriticalError, f"is within {NEAR_CRITICAL_RADIUS} of a critical value"),
+    SINGULAR_LOCUS: (SingularLocusError, "lies on or near the singular set"),
+    BRANCH_COUNT: (BranchCountError, "does not have all its branches in the domain"),
+}
 
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Branch points and branch derivatives at one query point."""
+    """Branch points and branch derivatives.
+
+    For a scalar query ``points`` and ``derivatives`` have shape (k,).
+    For n queries they have shape (n, k) and ``reason`` holds one code
+    per query; rows whose reason is not OK are NaN.
+    """
 
     points: np.ndarray
     derivatives: np.ndarray
+    reason: np.ndarray
 
     def __len__(self):
         return len(self.points)
 
+    @property
+    def ok(self) -> np.ndarray:
+        return self.reason == OK
 
-def _poly_roots(coeffs_ascending) -> np.ndarray:
-    """Companion-matrix roots with one Newton polish step."""
-    c = np.asarray(coeffs_ascending, dtype=complex)
-    c = np.trim_zeros(c, "b")
-    if c.size <= 1:
-        return np.array([], dtype=complex)
-    try:
-        roots = P.polyroots(c)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"root solve failed for coefficients {c}") from exc
-    dc = P.polyder(c)
-    val = P.polyval(roots, c)
-    dval = P.polyval(roots, dc)
-    ok = np.abs(dval) > 1e-30
-    roots[ok] = roots[ok] - val[ok] / dval[ok]
+    def require_ok(self, queries):
+        """Raise the error matching the first query whose reason is not OK."""
+        bad = np.flatnonzero(self.reason != OK)
+        if bad.size:
+            error, what = _FAILURES[int(np.ravel(self.reason)[bad[0]])]
+            raise error(f"query {complex(np.ravel(queries)[bad[0]])} {what}")
+
+
+def far_from(points, bad, radius) -> np.ndarray:
+    """Mask of the points farther than ``radius`` from every point of ``bad``."""
+    if bad.size == 0:
+        return np.ones(len(points), dtype=bool)
+    return np.min(np.abs(points[:, None] - bad[None, :]), axis=1) > radius
+
+
+def _distinct(points) -> np.ndarray:
+    """The points without near-duplicates (within CRITICAL_DEDUP_TOL)."""
+    out = []
+    for p in points:
+        if all(abs(p - v) > CRITICAL_DEDUP_TOL for v in out):
+            out.append(complex(p))
+    return np.array(out, dtype=complex)
+
+
+def _roots(fibres) -> np.ndarray:
+    """Roots of each row of ascending coefficients (n, d+1), exactly as
+    ``P.polyroots`` returns them, after one Newton step.  Every leading
+    coefficient must be nonzero."""
+    n, d = fibres.shape[0], fibres.shape[1] - 1
+    if d < 1:
+        return np.empty((n, 0), dtype=complex)
+    if d == 1:
+        roots = -fibres[:, :1] / fibres[:, 1:]
+    else:
+        mat = np.zeros((n, d, d), dtype=complex)
+        mat[:, np.arange(1, d), np.arange(d - 1)] = 1
+        mat[:, :, -1] -= fibres[:, :-1] / fibres[:, -1:]
+        try:
+            roots = np.linalg.eigvals(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"companion eigenvalues failed for {n} fibres") from exc
+        roots.sort(axis=1)
+    # a tiny leading coefficient puts a root far outside every domain; its
+    # Newton step may overflow, and membership discards it
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = P.polyval(roots.T, fibres.T, tensor=False).T
+        dval = P.polyval(roots.T, (fibres[:, 1:] * np.arange(1, d + 1)).T, tensor=False).T
+        ok = np.abs(dval) > 1e-30
+        roots[ok] = roots[ok] - val[ok] / dval[ok]
     return roots
 
 
-class ProperMap:
-    """Common behavior of the algebraic proper-map families.
+def _poly_roots(coeffs_ascending) -> np.ndarray:
+    """Companion-matrix roots of one polynomial with one Newton polish step."""
+    c = np.trim_zeros(np.asarray(coeffs_ascending, dtype=complex), "b")
+    if c.size <= 1:
+        return np.array([], dtype=complex)
+    return _roots(c[None, :])[0]
 
-    Subclasses provide ``_numer``/``_denom`` ascending coefficient
-    arrays with f = numer/denom (denom = [1] for polynomial families),
-    plus ``multiplicity``.
+
+def _solve_branches(coeffs, axis, x, domain, near_set, near_reason, derivative,
+                    min_gap=0.0) -> BranchSet:
+    """Branches of ``coeffs`` (c[i, j] multiplies z^i w^j) over the
+    queries ``x`` of the variable on ``axis``, with ``derivative(x, roots)``.
+
+    Queries within NEAR_CRITICAL_RADIUS of ``near_set`` get
+    ``near_reason``; with ``min_gap`` > 0, fibres with two roots closer
+    than it get SINGULAR_LOCUS.  A scalar query returns one branch set
+    and raises the error matching its reason instead.
+    """
+    if np.ndim(x) == 0:
+        require_finite(x)
+        table = _solve_branches(coeffs, axis, np.array([x]), domain, near_set,
+                                near_reason, derivative, min_gap)
+        table.require_ok(x)
+        return BranchSet(table.points[0], table.derivatives[0], table.reason[0])
+    x = np.asarray(x, dtype=complex)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite query point")
+    c = coeffs if axis == 0 else coeffs.T
+    fibres = P.polyval(x, c).T
+    d = fibres.shape[1] - 1
+    reason = np.full(len(x), OK, dtype=np.int8)
+    reason[~far_from(x, near_set, NEAR_CRITICAL_RADIUS)] = near_reason
+    # a vanishing leading coefficient loses a root
+    reason[(reason == OK) & (fibres[:, -1] == 0) & (d > 0)] = BRANCH_COUNT
+    todo = reason == OK
+    roots = np.full((len(x), d), np.nan, dtype=complex)
+    roots[todo] = _roots(fibres[todo])
+    if min_gap and d > 1:
+        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+        gaps[:, np.arange(d), np.arange(d)] = np.inf
+        reason[todo & (np.min(gaps, axis=(1, 2)) < min_gap)] = SINGULAR_LOCUS
+    inside = domain.contains(roots, MEMBERSHIP_MARGIN)
+    reason[(reason == OK) & ~np.all(inside, axis=1)] = BRANCH_COUNT
+    ok = reason == OK
+    roots[~ok] = np.nan
+    derivs = np.full_like(roots, np.nan)
+    derivs[ok] = derivative(x[ok, None], roots[ok])
+    return BranchSet(points=roots, derivatives=derivs, reason=reason)
+
+
+class ProperMap:
+    """Common behavior of the algebraic proper-map families f = numer/denom.
+
+    ``numer``/``denom`` are ascending coefficient arrays (denom = [1] for
+    polynomial families).  ``graph`` holds the coefficients of the graph
+    correspondence numer(z) - w*denom(z) in CorrespondenceModel layout;
+    the multiplicity is its degree in z.
     """
 
-    source: PlanarDomain
-    target: PlanarDomain
-    multiplicity: int
+    def __init__(self, numer, denom, source: PlanarDomain, target: PlanarDomain):
+        self._numer = numer
+        self._denom = denom
+        self.source = source
+        self.target = target
+        self.multiplicity = max(len(numer), len(denom)) - 1
+        self.graph = np.zeros((self.multiplicity + 1, 2), dtype=complex)
+        self.graph[:len(numer), 0] = numer
+        self.graph[:len(denom), 1] = -denom
+        self._dnumer = P.polysub(P.polymul(P.polyder(numer), denom),
+                                 P.polymul(numer, P.polyder(denom)))
+        # singular sets of the graph: the single forward branch never
+        # collides; the backward ones collide over the critical values
+        self.v1 = np.array([], dtype=complex)
+        self.v2 = _distinct([complex(self(z0)) for z0 in self.critical_points()])
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -90,52 +210,32 @@ class ProperMap:
 
     def deriv(self, z):
         z = np.asarray(z, dtype=complex)
-        n, d = self._numer, self._denom
-        num = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
-        return P.polyval(z, num) / P.polyval(z, d) ** 2
+        return P.polyval(z, self._dnumer) / P.polyval(z, self._denom) ** 2
 
     def critical_points(self) -> np.ndarray:
         """Zeros of f' inside the source (|f'| < 1e-10 after polish)."""
-        n, d = self._numer, self._denom
-        dnum = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
-        pts = _poly_roots(dnum)
+        pts = _poly_roots(self._dnumer)
         pts = pts[self.source.contains(pts, MEMBERSHIP_MARGIN)] if pts.size else pts
         return pts[np.abs(self.deriv(pts)) < 1e-10] if pts.size else pts
 
     def critical_values(self) -> np.ndarray:
-        """Images of the critical points, deduplicated.  Computed once
-        and cached; models are immutable."""
-        cached = getattr(self, "_critical_values", None)
-        if cached is not None:
-            return cached
-        vals = []
-        for z0 in self.critical_points():
-            w0 = complex(self(z0))
-            if all(abs(w0 - v) > CRITICAL_DEDUP_TOL for v in vals):
-                vals.append(w0)
-        out = np.array(vals, dtype=complex)
-        self._critical_values = out
-        return out
+        """Images of the critical points, deduplicated."""
+        return self.v2
 
     def local_inverses(self, w) -> BranchSet:
         """All multiplicity-many solutions of f(z) = w in the source,
-        with derivatives 1/f'."""
-        require_finite(w)
-        w = complex(w)
-        crit = self.critical_values()
-        if crit.size and np.min(np.abs(crit - w)) <= NEAR_CRITICAL_RADIUS:
-            raise NearCriticalError(f"w={w} is within {NEAR_CRITICAL_RADIUS} of a critical value")
-        # f(z) = w  <=>  numer(z) - w*denom(z) = 0
-        coeffs = P.polysub(self._numer, np.asarray([w]) * np.asarray(self._denom))
-        roots = _poly_roots(coeffs)
-        inside = roots[self.source.contains(roots, MEMBERSHIP_MARGIN)] if roots.size else roots
-        if len(inside) != self.multiplicity:
-            raise BranchCountError(
-                f"expected {self.multiplicity} preimages of w={w}, found "
-                f"{len(inside)} among roots {roots}"
-            )
-        derivs = 1.0 / self.deriv(inside)
-        return BranchSet(points=inside, derivatives=derivs)
+        with derivatives 1/f'.  Accepts a scalar or an array of w."""
+        return _solve_branches(self.graph, 1, w, self.source, self.v2,
+                               NEAR_CRITICAL, lambda w0, z: 1.0 / self.deriv(z))
+
+    def branches(self, x, forward: bool) -> BranchSet:
+        """Forward: the single branch (f, f') over an array of z;
+        backward: the local inverses over an array of w."""
+        if not forward:
+            return self.local_inverses(x)
+        x = np.asarray(x, dtype=complex)
+        return BranchSet(self(x)[:, None], self.deriv(x)[:, None],
+                         np.full(len(x), OK, dtype=np.int8))
 
 
 class PowerMap(ProperMap):
@@ -146,12 +246,11 @@ class PowerMap(ProperMap):
         if m < 1:
             raise ValueError(f"power must be >= 1, got {m}")
         self.m = m
-        self.multiplicity = m
-        self.source = source if source is not None else Disc(0.0, 1.0)
-        self.target = target if target is not None else Disc(0.0, 1.0)
-        self._numer = np.zeros(m + 1, dtype=complex)
-        self._numer[m] = 1.0
-        self._denom = np.ones(1, dtype=complex)
+        numer = np.zeros(m + 1, dtype=complex)
+        numer[m] = 1.0
+        super().__init__(numer, np.ones(1, dtype=complex),
+                         source if source is not None else Disc(0.0, 1.0),
+                         target if target is not None else Disc(0.0, 1.0))
 
     def __repr__(self):
         return f"PowerMap(m={self.m})"
@@ -170,16 +269,12 @@ class BlaschkeProduct(ProperMap):
             if abs(a) >= 1:
                 raise ValueError(f"Blaschke zero must satisfy |a| < 1, got {a}")
         self.zeros = tuple(zeros)
-        self.multiplicity = len(zeros)
-        self.source = Disc(0.0, 1.0)
-        self.target = Disc(0.0, 1.0)
         numer = np.ones(1, dtype=complex)
         denom = np.ones(1, dtype=complex)
         for a in zeros:
             numer = P.polymul(numer, np.asarray([-a, 1.0]))
             denom = P.polymul(denom, np.asarray([1.0, -np.conj(a)]))
-        self._numer = numer
-        self._denom = denom
+        super().__init__(numer, denom, Disc(0.0, 1.0), Disc(0.0, 1.0))
 
     def __repr__(self):
         return f"BlaschkeProduct(zeros={list(self.zeros)})"
@@ -193,11 +288,7 @@ class PolynomialMap(ProperMap):
         coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
         if coeffs.size < 2:
             raise ValueError("polynomial map must be non-constant")
-        self._numer = coeffs
-        self._denom = np.ones(1, dtype=complex)
-        self.multiplicity = coeffs.size - 1
-        self.source = source
-        self.target = target
+        super().__init__(coeffs, np.ones(1, dtype=complex), source, target)
 
     def __repr__(self):
         return f"PolynomialMap(coeffs={list(self._numer)})"
@@ -253,6 +344,10 @@ class CorrespondenceModel:
         if c.shape[0] < 2 and c.shape[1] < 2:
             raise ValueError("correspondence polynomial must depend on z or w")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_cz", P.polyder(c, axis=0) if c.shape[0] > 1
+                           else np.zeros((1, 1)))
+        object.__setattr__(self, "_cw", P.polyder(c, axis=1) if c.shape[1] > 1
+                           else np.zeros((1, 1)))
         object.__setattr__(self, "_v1", self._singular_set(axis=0))
         object.__setattr__(self, "_v2", self._singular_set(axis=1))
 
@@ -282,12 +377,10 @@ class CorrespondenceModel:
         return self._val2d(z, w, self.coeffs)
 
     def qz(self, z, w):
-        cz = P.polyder(self.coeffs, axis=0) if self.q > 0 else np.zeros((1, 1))
-        return self._val2d(z, w, cz)
+        return self._val2d(z, w, self._cz)
 
     def qw(self, z, w):
-        cw = P.polyder(self.coeffs, axis=1) if self.p > 0 else np.zeros((1, 1))
-        return self._val2d(z, w, cw)
+        return self._val2d(z, w, self._cw)
 
     def _singular_set(self, axis: int) -> np.ndarray:
         """Discriminant locus of Q solved along ``axis`` (0: roots in w
@@ -313,49 +406,22 @@ class CorrespondenceModel:
             pts = _poly_roots(disc)
             lead_roots = _poly_roots(c[:, -1])
             pts = np.concatenate([pts, lead_roots]) if lead_roots.size else pts
-        if pts.size == 0:
-            return np.array([], dtype=complex)
-        pts = pts[domain.contains(pts)]
-        out = []
-        for z0 in pts:
-            if all(abs(z0 - v) > CRITICAL_DEDUP_TOL for v in out):
-                out.append(complex(z0))
-        return np.array(out, dtype=complex)
-
-    def _branches(self, x, c, domain_out, count, v_set, dq_self, dq_other) -> BranchSet:
-        require_finite(x)
-        x = complex(x)
-        if v_set.size and np.min(np.abs(v_set - x)) <= NEAR_CRITICAL_RADIUS:
-            raise SingularLocusError(f"query {x} is within {NEAR_CRITICAL_RADIUS} "
-                                     "of the singular set")
-        fiber = P.polyval(x, c)
-        roots = _poly_roots(fiber)
-        if roots.size > 1:
-            dists = np.abs(roots[:, None] - roots[None, :])
-            np.fill_diagonal(dists, np.inf)
-            if np.min(dists) < 1e-7:
-                raise SingularLocusError(f"multiple root of the fiber over {x}")
-        inside = roots[domain_out.contains(roots, MEMBERSHIP_MARGIN)] if roots.size else roots
-        if len(inside) != count:
-            raise BranchCountError(
-                f"expected {count} branches over {x}, found {len(inside)} "
-                f"among roots {roots}"
-            )
-        derivs = -dq_other(x, inside) / dq_self(x, inside)
-        return BranchSet(points=inside, derivatives=derivs)
+        return _distinct(pts[domain.contains(pts)] if pts.size else pts)
 
     def forward_branches(self, z) -> BranchSet:
-        """Roots w of Q(z, .) in d2 with derivatives -Q_z/Q_w."""
-        return self._branches(
-            z, self.coeffs, self.d2, self.p, self.v1,
-            dq_self=lambda z0, w: self.qw(z0, w),
-            dq_other=lambda z0, w: self.qz(z0, w),
-        )
+        """Roots w of Q(z, .) in d2 with derivatives -Q_z/Q_w.  Accepts a
+        scalar or an array of z."""
+        return _solve_branches(self.coeffs, 0, z, self.d2, self.v1, SINGULAR_LOCUS,
+                               lambda z0, w: -self.qz(z0, w) / self.qw(z0, w),
+                               MULTIPLE_ROOT_GAP)
 
     def backward_branches(self, w) -> BranchSet:
-        """Roots z of Q(., w) in d1 with derivatives -Q_w/Q_z."""
-        return self._branches(
-            w, self.coeffs.T, self.d1, self.q, self.v2,
-            dq_self=lambda w0, z: self.qz(z, w0),
-            dq_other=lambda w0, z: self.qw(z, w0),
-        )
+        """Roots z of Q(., w) in d1 with derivatives -Q_w/Q_z.  Accepts a
+        scalar or an array of w."""
+        return _solve_branches(self.coeffs, 1, w, self.d1, self.v2, SINGULAR_LOCUS,
+                               lambda w0, z: -self.qw(z, w0) / self.qz(z, w0),
+                               MULTIPLE_ROOT_GAP)
+
+    def branches(self, x, forward: bool) -> BranchSet:
+        """Forward branches over an array of z, or backward ones over w."""
+        return self.forward_branches(x) if forward else self.backward_branches(x)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchCountError, NearCriticalError, SingularLocusError
+from .errors import NearCriticalError
 from .holobasis import WeightFn
 from .kernel import KernelEvaluator
-from .propermaps import CorrespondenceModel, ProperMap
+from .propermaps import CorrespondenceModel, ProperMap, far_from
 
 __all__ = [
     "TransformReport",
@@ -50,8 +50,10 @@ ABS_FALLBACK_SCALE = 1e-10
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Residual statistics of one verification sweep.
+    """Per-sample record of one verification sweep and its statistics.
 
+    ``lhs``/``rhs`` have shape (len(z), len(w)); ``kept`` marks the
+    samples outside every exclusion, and the other entries are NaN.
     ``max_rel_residual`` normalizes each sample by |LHS| but falls back
     to the absolute residual where |LHS| < 1e-10 (identity checks near
     kernel zeros would otherwise divide noise by noise).
@@ -62,6 +64,11 @@ class TransformReport:
     max_abs_residual: float
     max_rel_residual: float
     lhs_scale: float
+    z: np.ndarray
+    w: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    kept: np.ndarray
     config: dict = field(default_factory=dict)
 
     def summary_lines(self):
@@ -70,22 +77,6 @@ class TransformReport:
         yield f"max_abs_residual = {self.max_abs_residual:.17g}"
         yield f"max_rel_residual = {self.max_rel_residual:.17g}"
         yield f"lhs_scale = {self.lhs_scale:.17g}"
-
-
-def _make_report(lhs: np.ndarray, rhs: np.ndarray, excluded: int, n_samples: int,
-                 config: dict | None) -> TransformReport:
-    absres = np.abs(lhs - rhs)
-    lhs_mag = np.abs(lhs)
-    rel = np.where(lhs_mag >= ABS_FALLBACK_SCALE,
-                   absres / np.maximum(lhs_mag, REL_FLOOR), absres)
-    return TransformReport(
-        n_samples=n_samples,
-        excluded=excluded,
-        max_abs_residual=float(np.max(absres)) if absres.size else 0.0,
-        max_rel_residual=float(np.max(rel)) if rel.size else 0.0,
-        lhs_scale=float(np.max(lhs_mag)) if lhs_mag.size else 0.0,
-        config=dict(config or {}),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +111,13 @@ def branch_table(model, points, forward: bool):
     Returns (pts, der) of shape (len(points), k) where k is the branch
     count; the solve is done once so several functions can be summed
     over the same branches.  For proper maps the forward direction is
-    the single branch (f, f').
+    the single branch (f, f').  Raises the error of the first query
+    whose branches cannot be resolved.
     """
     points = np.asarray(points, dtype=complex)
-    if not isinstance(model, CorrespondenceModel) and forward:
-        return model(points)[:, None], model.deriv(points)[:, None]
-    pts_rows = []
-    der_rows = []
-    for x in points:
-        if isinstance(model, CorrespondenceModel):
-            b = model.forward_branches(x) if forward else model.backward_branches(x)
-        else:
-            b = model.local_inverses(x)
-        pts_rows.append(b.points)
-        der_rows.append(b.derivatives)
-    return np.asarray(pts_rows), np.asarray(der_rows)
+    table = model.branches(points, forward)
+    table.require_ok(points)
+    return table.points, table.derivatives
 
 
 def _branch_sum(func, pts, der) -> np.ndarray:
@@ -142,18 +125,22 @@ def _branch_sum(func, pts, der) -> np.ndarray:
 
 
 def adjoint_residual_matrix(model, us, vs, rule1, rule2,
-                            weight: WeightFn | None = None) -> np.ndarray:
+                            weight: WeightFn | None = None,
+                            backward=None) -> np.ndarray:
     """Residuals |<op1 u, v>_1 - <u, op2 v>_2| for all (u, v) pairs.
 
     For correspondences the operators are gamma1/gamma2 and the inner
     products are unweighted.  For proper maps they are lambda1/lambda2
     with <.,.>_{nu o f} on the source and <.,.>_nu on the target; pass
-    ``weight`` as nu (None means nu = 1).  Branch solving is shared
-    across all functions.
+    ``weight`` as nu (None means nu = 1) for maps only.  Branch solving
+    is shared across all functions; pass ``backward`` to reuse a solved
+    ``branch_table(model, rule2.nodes, forward=False)``.
     """
     fpts, fder = branch_table(model, rule1.nodes, forward=True)
-    bpts, bder = branch_table(model, rule2.nodes, forward=False)
-    if isinstance(model, CorrespondenceModel) or weight is None:
+    if backward is None:
+        backward = branch_table(model, rule2.nodes, forward=False)
+    bpts, bder = backward
+    if weight is None:
         nu1 = np.ones(len(rule1))
         nu2 = np.ones(len(rule2))
     else:
@@ -173,10 +160,13 @@ def adjoint_residual(model, u, v, rule1, rule2, weight: WeightFn | None = None) 
     return float(adjoint_residual_matrix(model, [u], [v], rule1, rule2, weight)[0, 0])
 
 
-def operator_bound_check(corr: CorrespondenceModel, v, rule1, rule2):
+def operator_bound_check(corr: CorrespondenceModel, v, rule1, rule2, backward=None):
     """Both sides of <gamma2 v, gamma2 v>_2 <= p*q*<v, v>_1 by
-    quadrature; the caller asserts lhs <= rhs*(1 + 1e-6)."""
-    bpts, bder = branch_table(corr, rule2.nodes, forward=False)
+    quadrature; the caller asserts lhs <= rhs*(1 + 1e-6).  ``backward``
+    as in adjoint_residual_matrix."""
+    if backward is None:
+        backward = branch_table(corr, rule2.nodes, forward=False)
+    bpts, bder = backward
     g2v = _branch_sum(v, bpts, bder)
     lhs = float(np.sum(rule2.weights * np.abs(g2v) ** 2))
     rhs = corr.p * corr.q * float(np.sum(rule1.weights * np.abs(v(rule1.nodes)) ** 2))
@@ -186,53 +176,12 @@ def operator_bound_check(corr: CorrespondenceModel, v, rule1, rule2):
 # ---------------------------------------------------------------------------
 # transformation-formula sweeps
 
-def _keep_away(points: np.ndarray, bad: np.ndarray, radius: float) -> np.ndarray:
-    if bad.size == 0:
-        return np.ones(len(points), dtype=bool)
-    return np.min(np.abs(points[:, None] - bad[None, :]), axis=1) > radius
-
-
-def _map_sweep(f: ProperMap, ev1: KernelEvaluator, ev2: KernelEvaluator,
-               z_grid, w_grid, exclusion: float, config: dict | None) -> TransformReport:
-    zs = np.asarray(z_grid, dtype=complex)
-    ws = np.asarray(w_grid, dtype=complex)
-    total = len(zs) * len(ws)
-    crit = f.critical_values()
-    ws = ws[_keep_away(ws, crit, exclusion)]
-
-    fz = f(zs)
-    fpz = f.deriv(zs)
-
-    branch_pts = []
-    branch_der = []
-    kept_w = []
-    for w in ws:
-        try:
-            b = f.local_inverses(w)
-        except (NearCriticalError, BranchCountError):
-            continue
-        branch_pts.append(b.points)
-        branch_der.append(b.derivatives)
-        kept_w.append(w)
-    if not kept_w:
-        return _make_report(np.empty(0), np.empty(0), total, total, config)
-    ws = np.asarray(kept_w)
-    pts = np.asarray(branch_pts)      # (nw, m)
-    der = np.asarray(branch_der)      # (nw, m)
-
-    lhs = fpz[:, None] * ev2.eval_kernel_grid(fz, ws)
-    k1 = ev1.eval_kernel_grid(zs, pts.ravel()).reshape(len(zs), len(ws), -1)
-    rhs = np.einsum("zwm,wm->zw", k1, der.conj())
-    excluded = total - len(zs) * len(ws)
-    return _make_report(lhs, rhs, excluded, total, config)
-
-
 def verify_proper(f: ProperMap, ev1: KernelEvaluator, ev2: KernelEvaluator,
                   z_grid, w_grid, exclusion: float = GRID_EXCLUSION,
                   config: dict | None = None) -> TransformReport:
     """Residuals of f'(z) K2(f(z), w) = sum_k K1(z, F_k(w)) conj(F_k'(w))
     over the grid product; ev1 lives on the source, ev2 on the target."""
-    return _map_sweep(f, ev1, ev2, z_grid, w_grid, exclusion, config)
+    return verify_correspondence(f, ev1, ev2, z_grid, w_grid, exclusion, config)
 
 
 def verify_weighted(f: ProperMap, weight: WeightFn, ev1: KernelEvaluator,
@@ -245,54 +194,51 @@ def verify_weighted(f: ProperMap, weight: WeightFn, ev1: KernelEvaluator,
     nu2 = np.asarray(weight(ev2.rule.nodes), dtype=float)
     if not np.all(nu2 > 0):
         raise ValueError("weight must be positive on the target rule nodes")
-    return _map_sweep(f, ev1, ev2, z_grid, w_grid, exclusion, config)
+    return verify_correspondence(f, ev1, ev2, z_grid, w_grid, exclusion, config)
 
 
-def verify_correspondence(corr: CorrespondenceModel, ev1: KernelEvaluator,
+def verify_correspondence(corr: CorrespondenceModel | ProperMap, ev1: KernelEvaluator,
                           ev2: KernelEvaluator, z_grid, w_grid,
                           exclusion: float = GRID_EXCLUSION,
                           config: dict | None = None) -> TransformReport:
-    """Residuals of sum_i f_i'(z) K2(f_i(z), w) = sum_j K1(z, F_j(w)) conj(F_j'(w))."""
+    """Residuals of sum_i f_i'(z) K2(f_i(z), w) = sum_j K1(z, F_j(w)) conj(F_j'(w))
+    over the grid product; a proper map is swept as its graph.  Samples
+    within ``exclusion`` of the singular sets, or whose branches cannot
+    be resolved, are excluded."""
     zs = np.asarray(z_grid, dtype=complex)
     ws = np.asarray(w_grid, dtype=complex)
-    total = len(zs) * len(ws)
-    zs = zs[_keep_away(zs, corr.v1, exclusion)]
-    ws = ws[_keep_away(ws, corr.v2, exclusion)]
-
-    fwd_pts, fwd_der, kept_z = [], [], []
-    for z in zs:
-        try:
-            b = corr.forward_branches(z)
-        except (SingularLocusError, BranchCountError):
-            continue
-        fwd_pts.append(b.points)
-        fwd_der.append(b.derivatives)
-        kept_z.append(z)
-    bwd_pts, bwd_der, kept_w = [], [], []
-    for w in ws:
-        try:
-            b = corr.backward_branches(w)
-        except (SingularLocusError, BranchCountError):
-            continue
-        bwd_pts.append(b.points)
-        bwd_der.append(b.derivatives)
-        kept_w.append(w)
-    if not kept_z or not kept_w:
-        return _make_report(np.empty(0), np.empty(0), total, total, config)
-
-    zs = np.asarray(kept_z)
-    ws = np.asarray(kept_w)
-    fp = np.asarray(fwd_pts)          # (nz, p)
-    fd = np.asarray(fwd_der)
-    bp = np.asarray(bwd_pts)          # (nw, q)
-    bd = np.asarray(bwd_der)
-
-    k2 = ev2.eval_kernel_grid(fp.ravel(), ws).reshape(len(zs), -1, len(ws))
-    lhs = np.einsum("zp,zpw->zw", fd, k2)
-    k1 = ev1.eval_kernel_grid(zs, bp.ravel()).reshape(len(zs), len(ws), -1)
-    rhs = np.einsum("zwq,wq->zw", k1, bd.conj())
-    excluded = total - len(zs) * len(ws)
-    return _make_report(lhs, rhs, excluded, total, config)
+    fwd = corr.branches(zs, forward=True)
+    bwd = corr.branches(ws, forward=False)
+    kz = far_from(zs, corr.v1, exclusion) & fwd.ok
+    kw = far_from(ws, corr.v2, exclusion) & bwd.ok
+    kept = kz[:, None] & kw[None, :]
+    lhs = np.full(kept.shape, np.nan, dtype=complex)
+    rhs = np.full(kept.shape, np.nan, dtype=complex)
+    if kept.any():
+        fp, fd = fwd.points[kz], fwd.derivatives[kz]        # (nz, p)
+        bp, bd = bwd.points[kw], bwd.derivatives[kw]        # (nw, q)
+        nz, nw = len(fp), len(bp)
+        k2 = ev2.eval_kernel_grid(fp.ravel(), ws[kw]).reshape(nz, -1, nw)
+        if fd.shape[1] == 1:
+            # a map's single branch f'(z) K2(f(z), w) as the multiply ufunc
+            # rounds it; einsum rounds complex products differently
+            lhs[np.ix_(kz, kw)] = fd * k2[:, 0, :]
+        else:
+            lhs[np.ix_(kz, kw)] = np.einsum("zp,zpw->zw", fd, k2)
+        k1 = ev1.eval_kernel_grid(zs[kz], bp.ravel()).reshape(nz, nw, -1)
+        rhs[np.ix_(kz, kw)] = np.einsum("zwq,wq->zw", k1, bd.conj())
+    absres = np.abs(lhs[kept] - rhs[kept])
+    lhs_mag = np.abs(lhs[kept])
+    rel = np.where(lhs_mag >= ABS_FALLBACK_SCALE,
+                   absres / np.maximum(lhs_mag, REL_FLOOR), absres)
+    return TransformReport(
+        n_samples=kept.size,
+        excluded=kept.size - int(np.count_nonzero(kept)),
+        max_abs_residual=float(np.max(absres)) if absres.size else 0.0,
+        max_rel_residual=float(np.max(rel)) if rel.size else 0.0,
+        lhs_scale=float(np.max(lhs_mag)) if lhs_mag.size else 0.0,
+        z=zs, w=ws, lhs=lhs, rhs=rhs, kept=kept, config=dict(config or {}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +289,14 @@ def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
                 f"both probe {probe} and fallback {fallback_probe} sit near critical values"
             )
 
-    def rhs(w):
-        b = f.local_inverses(w)
-        return ev.eval_kernel_grid(zs, b.points) @ b.derivatives.conj()
-
     h = stencil_radius
-    g0 = rhs(w0)
-    dx = (rhs(w0 + h) - rhs(w0 - h)) / (2.0 * h)
-    dy = (rhs(w0 + 1j * h) - rhs(w0 - 1j * h)) / (2.0 * h)
+    probes = np.array([w0, w0 + h, w0 - h, w0 + 1j * h, w0 - 1j * h])
+    table = f.local_inverses(probes)
+    table.require_ok(probes)
+    g0, xp, xm, yp, ym = (ev.eval_kernel_grid(zs, pts) @ der.conj()
+                          for pts, der in zip(table.points, table.derivatives))
+    dx = (xp - xm) / (2.0 * h)
+    dy = (yp - ym) / (2.0 * h)
     g1 = 0.5 * (dx + 1j * dy)
 
     valid = np.abs(g0) >= 1e-12

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import yaml
 
 from redbergman.cli import main, preset_names
@@ -263,3 +264,72 @@ def test_random_grid_is_seed_deterministic(tmp_path):
     first = (rd / "kernel.csv").read_bytes()
     assert run_cli(tmp_path, "kernel", cfg) == 0
     assert (rd / "kernel.csv").read_bytes() == first
+
+
+def test_residual_csv_rows_are_the_summary_samples(tmp_path):
+    # z = 5e-7 lies inside the 1e-6 grid exclusion around the singular
+    # set {0} of w^2 - z, yet its forward branches still solve
+    cfg_dict = {
+        "run": "verify", "seed": 0,
+        "domain": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+        "domain2": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+        "quadrature": {"n_radial": 20, "n_angular": 60},
+        "quadrature2": {"n_radial": 20, "n_angular": 60},
+        "basis": {"type": "monomial", "degree": 15, "reduced": True},
+        "basis2": {"type": "monomial", "degree": 15, "reduced": True},
+        "weight": {"type": "constant"},
+        "correspondence": {"terms": [[0, 2, 1.0], [1, 0, -1.0]]},
+        "grid": {"z": {"kind": "points", "values": [5.0e-7, 0.3, [0.2, 0.2]]},
+                 "w": {"kind": "points", "values": [0.4, [0.1, -0.3]]}},
+        "output": {"csv": True},
+    }
+    cfg = write_cfg(tmp_path, yaml.safe_dump(cfg_dict))
+    assert run_cli(tmp_path, "verify", cfg) == 0
+    rd = only_run_dir(tmp_path, "verify-")
+    fields = dict(line.split(" = ") for line in (rd / "summary.txt").read_text().splitlines())
+    rows = (rd / "samples.csv").read_text().splitlines()[1:]
+    assert (fields["n_samples"], fields["excluded"]) == ("6", "2")
+    assert len(rows) == int(fields["n_samples"]) - int(fields["excluded"])
+    assert max(float(r.split(",")[4]) for r in rows) == float(fields["max_abs_residual"])
+
+
+def test_adjoint_honours_drop_tol(tmp_path, monkeypatch):
+    from redbergman import cli
+
+    seen = []
+    real = cli.orthonormalize
+
+    def spy(basis, rule, weight, drop_tol=1e-10):
+        seen.append(drop_tol)
+        return real(basis, rule, weight, drop_tol)
+
+    monkeypatch.setattr(cli, "orthonormalize", spy)
+    cfg_dict = yaml.safe_load(cli.preset_text("adjoint_disc"))
+    cfg_dict.update(drop_tol=1e-9, quadrature={"n_radial": 16, "n_angular": 32},
+                    quadrature2={"n_radial": 16, "n_angular": 32})
+    del cfg_dict["tolerance"]
+    assert run_cli(tmp_path, "adjoint", write_cfg(tmp_path, yaml.safe_dump(cfg_dict))) == 0
+    assert seen and all(tol == 1e-9 for tol in seen)
+
+
+def test_oracle_grid_follows_seed(tmp_path, monkeypatch):
+    from redbergman import cli
+
+    grids = {}
+    real = cli.build_grid
+
+    def spy(cfg, key, seed=0):
+        out = real(cfg, key, seed)
+        grids[(cfg["seed"], key)] = out
+        return out
+
+    monkeypatch.setattr(cli, "build_grid", spy)
+    cfg_dict = yaml.safe_load(DISC_KERNEL_CFG)
+    cfg_dict["oracle"]["grid"] = {axis: {"kind": "random_disc", "rmax": 0.5, "n": 6}
+                                  for axis in ("z", "w")}
+    for seed in (1, 2):
+        cfg_dict["seed"] = seed
+        cfg = write_cfg(tmp_path, yaml.safe_dump(cfg_dict), f"seed{seed}.yaml")
+        assert run_cli(tmp_path, "kernel", cfg) == 0
+    assert not np.array_equal(grids[(1, "oracle.grid.z")], grids[(2, "oracle.grid.z")])
+    assert not np.array_equal(grids[(1, "oracle.grid.w")], grids[(2, "oracle.grid.w")])
