@@ -9,7 +9,8 @@ Gauss-Legendre in radius (polar Jacobian r folded into the weights) and
 equispaced trapezoid in angle.  The trapezoid rule is exact for
 trigonometric polynomials of degree below the number of angular nodes,
 so inner products of (Laurent) monomials are angularly exact; that is
-the accuracy backbone of the whole library.
+the accuracy backbone of the whole library.  A polar rule carries this
+structure in ``QuadratureRule.polar``; other rules leave it ``None``.
 
 Generic domains get a first-order midpoint rule on a uniform cell grid;
 good enough for coarse property checks, not for tight tolerances.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "Annulus",
     "GenericDomain",
     "PlanarDomain",
+    "PolarStructure",
     "QuadratureRule",
     "build_disc_quadrature",
     "build_annulus_quadrature",
@@ -147,12 +149,24 @@ PlanarDomain = Union[Disc, Annulus, GenericDomain]
 
 
 @dataclass(frozen=True)
+class PolarStructure:
+    """Node ``i * n_angular + j`` of a polar rule is center + radii[i] *
+    exp(2 pi i j / n_angular), with weight ring_weights[i]."""
+
+    center: complex
+    radii: np.ndarray
+    ring_weights: np.ndarray
+    n_angular: int
+
+
+@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and positive weights approximating integration against dA."""
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: PlanarDomain
+    polar: Optional[PolarStructure] = None
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights) or len(self.nodes) < 1:
@@ -181,11 +195,13 @@ def _polar_rule(center, r_lo, r_hi, n_radial, n_angular, domain, area):
     wt = 2.0 * np.pi / n_angular
 
     nodes = (center + radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = np.broadcast_to((wr * wt)[:, None], (n_radial, n_angular)).ravel().copy()
-
-    rule = QuadratureRule(nodes=nodes, weights=weights, domain=domain)
-    assert abs(rule.total_weight - area) <= 1e-10 * area
-    assert bool(np.all(domain.contains(nodes)))
+    polar = PolarStructure(center, radii, wr * wt, n_angular)
+    rule = QuadratureRule(nodes=nodes, weights=np.repeat(polar.ring_weights, n_angular),
+                          domain=domain, polar=polar)
+    if not abs(rule.total_weight - area) <= 1e-10 * area:
+        raise ValueError(f"polar rule weights sum to {rule.total_weight}, not the area {area}")
+    if not np.all(domain.contains(nodes)):
+        raise ValueError("polar rule has a node outside its domain")
     return rule
 
 

@@ -128,10 +128,6 @@ class RawBasis:
         pts = np.asarray(pts, dtype=complex)
         return np.stack([e.deriv(pts, order) for e in self.elements], axis=-1)
 
-    def primitive_values(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex)
-        return np.stack([e.primitive(pts) for e in self.elements], axis=-1)
-
 
 def monomial_basis(center, degree: int, domain: Optional[PlanarDomain] = None) -> RawBasis:
     """Monomials (z-c)^0 .. (z-c)^degree; all periods vanish."""

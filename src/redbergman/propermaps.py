@@ -213,10 +213,10 @@ class ProperMap:
         return P.polyval(z, self._dnumer) / P.polyval(z, self._denom) ** 2
 
     def critical_points(self) -> np.ndarray:
-        """Zeros of f' inside the source (|f'| < 1e-10 after polish)."""
+        """Zeros of the f' numerator inside the source; a multiple zero stays
+        the cluster of roots the solver returns (their images are deduplicated)."""
         pts = _poly_roots(self._dnumer)
-        pts = pts[self.source.contains(pts, MEMBERSHIP_MARGIN)] if pts.size else pts
-        return pts[np.abs(self.deriv(pts)) < 1e-10] if pts.size else pts
+        return pts[self.source.contains(pts, MEMBERSHIP_MARGIN)] if pts.size else pts
 
     def critical_values(self) -> np.ndarray:
         """Images of the critical points, deduplicated."""

@@ -143,9 +143,9 @@ def test_graph_correspondence_matches_map(f):
         assert not np.any(corr.backward_branches(near_points(corr.v2)).ok)
 
 
-@pytest.mark.xfail(strict=True, reason="critical_points drops a multiple critical point: "
-                                       "one Newton step leaves |f'| above its 1e-10 filter")
-def test_coincident_blaschke_zeros_keep_critical_value():
-    # a triple zero at 0.97 is a double critical point with value 0
-    f = BlaschkeProduct([0.97] * 3)
+@pytest.mark.parametrize("zeros", [[0.97] * 3, [0.9] * 4, [0.8] * 5],
+                         ids=["0.97x3", "0.9x4", "0.8x5"])
+def test_coincident_blaschke_zeros_keep_critical_value(zeros):
+    # a k-fold zero is a (k-1)-fold critical point with value 0
+    f = BlaschkeProduct(zeros)
     assert f.local_inverses(np.array([0.0])).reason[0] != OK

@@ -14,6 +14,7 @@ from redbergman import (
     build_generic_quadrature,
 )
 from redbergman.errors import EmptyDomainError
+from redbergman.geometry import _polar_rule
 
 
 def quad_integral(rule, f):
@@ -51,6 +52,15 @@ def test_annulus_rule_integrates_inverse_square():
     rule = build_annulus_quadrature(0.0, 0.5, 1.0, 40, 80)
     val = quad_integral(rule, lambda z: 1.0 / np.abs(z) ** 2)
     assert val == pytest.approx(2.0 * math.pi * math.log(2.0), rel=1e-8)
+
+
+def test_polar_rule_checks_raise():
+    disc = Disc(0.0, 1.0)
+    with pytest.raises(ValueError, match="area"):
+        _polar_rule(0.0, 0.0, 1.0, 8, 16, disc, 2.0 * disc.area())
+    # radii up to 1 on a disc of radius 0.5, with that disc's area claimed
+    with pytest.raises(ValueError, match="outside"):
+        _polar_rule(0.0, 0.0, 1.0, 8, 16, Disc(0.0, 0.5), disc.area())
 
 
 def test_annulus_rejects_reversed_radii():

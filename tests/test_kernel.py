@@ -6,12 +6,15 @@ Expected values come from analytic norm integrals:
 and from the closed forms in redbergman.oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import yaml
 
 from redbergman import (
+    BlaschkeProduct,
     ConstantWeight,
     GenericDomain,
     KernelEvaluator,
@@ -23,8 +26,10 @@ from redbergman import (
     laurent_basis,
     monomial_basis,
     orthonormalize,
+    pullback_weight,
     reduced_filter,
 )
+from redbergman import cli, kernel
 from redbergman.errors import EvaluationError, PrimitiveUnavailableError
 from redbergman.holobasis import BasisElement, RawBasis
 from redbergman.oracles import annulus_kernel, disc_kernel, disc_power_weight_kernel
@@ -75,6 +80,75 @@ def test_gram_nonfinite_value_reports_element_and_node():
     bad = RawBasis((BasisElement(-1, rule.nodes[0]),), dom)
     with pytest.raises(EvaluationError):
         gram_matrix(bad, rule, ONE)
+
+
+def test_polar_gram_nonfinite_value_reports_element_and_ring():
+    # r^-300 overflows on the innermost ring, near radius 0.03
+    rule = build_annulus_quadrature(0.0, 0.01, 1.0, 8, 16)
+    bad = laurent_basis(0.0, -300, -299, rule.domain)
+    with pytest.raises(EvaluationError, match=r"\^-300\) is non-finite at node \(0\.0"):
+        gram_matrix(bad, rule, ONE)
+
+
+def dense_gram(basis, rule, weight):
+    """The dense sum over every node: the oracle for the structured Gram."""
+    return gram_matrix(basis, dataclasses.replace(rule, polar=None), weight).entries
+
+
+def assert_polar_gram_matches_dense(basis, rule, weight):
+    got = gram_matrix(basis, rule, weight).entries
+    want = dense_gram(basis, rule, weight)
+    d = np.sqrt(np.real(np.diag(want)))
+    assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", cli.preset_names())
+def test_polar_gram_matches_dense_on_presets(name, tmp_path, monkeypatch):
+    triples = []
+
+    def recording_gram(basis, rule, weight):
+        triples.append((basis, rule, weight))
+        return gram_matrix(basis, rule, weight)
+
+    monkeypatch.setattr(kernel, "gram_matrix", recording_gram)
+    cfg = yaml.safe_load(cli.preset_text(name))
+    assert cli.execute(cfg.pop("run"), cfg, str(tmp_path)) == 0
+    assert triples
+    for basis, rule, weight in triples:
+        # every preset runs on a polar rule with a basis centred at its centre
+        assert rule.polar is not None
+        assert all(e.center == rule.polar.center for e in basis.elements)
+        assert_polar_gram_matches_dense(basis, rule, weight)
+
+
+def _aliasing_case():
+    # frequency differences up to 100 on 64 angular nodes alias
+    rule = build_disc_quadrature(0.0, 1.0, 30, 64)
+    return monomial_basis(0.0, 100, rule.domain), rule, ONE
+
+
+def _off_centre_weight_case():
+    rule = build_disc_quadrature(0.0, 1.0, 30, 96)
+    return monomial_basis(0.0, 30, rule.domain), rule, PowerWeight(1.5, 0.3 - 0.2j)
+
+
+def _blaschke_pullback_case():
+    rule = build_disc_quadrature(0.0, 1.0, 30, 96)
+    f = BlaschkeProduct([0.5, -0.3 + 0.4j])
+    return monomial_basis(0.0, 30, rule.domain), rule, pullback_weight(PowerWeight(1.0), f)
+
+
+@pytest.mark.parametrize("case", [_aliasing_case, _off_centre_weight_case,
+                                  _blaschke_pullback_case])
+def test_polar_gram_matches_dense(case):
+    assert_polar_gram_matches_dense(*case())
+
+
+def test_off_centre_basis_on_polar_rule_takes_dense_path():
+    rule = build_annulus_quadrature(0.5, 0.5, 1.0, 16, 32)
+    basis = monomial_basis(0.25, 12, rule.domain)
+    got = gram_matrix(basis, rule, PowerWeight(1.0, 0.5)).entries
+    assert np.array_equal(got, dense_gram(basis, rule, PowerWeight(1.0, 0.5)))
 
 
 def test_orthonormalize_disc_coefficients():
@@ -261,6 +335,14 @@ def test_evaluator_thread_safety():
         results = list(pool.map(work, range(8)))
     for r in results[1:]:
         assert np.array_equal(r, results[0])
+
+
+def test_evaluator_builds_node_matrix_on_first_use():
+    ev = disc_evaluator_shared()
+    assert "_node_phi" not in ev.__dict__
+    assert ev.orthonormality_residual() < 1e-12
+    assert "_node_phi" in ev.__dict__
+    assert np.array_equal(ev._node_phi, ev.onb.phi_values(ev.rule.nodes))
 
 
 def disc_evaluator_shared():
