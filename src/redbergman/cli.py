@@ -372,14 +372,12 @@ def _run_checks(cfg, ev, zs, run):
             res = 0.0 if all(ev.diagonal(a) > 0 for a in sample) else float("inf")
         elif name == "reproduce_basis":
             zeta = complex(sample[len(sample) // 2])
-            res = 0.0
-            for k in range(min(5, ev.onb.retained_count)):
-                phi = ev.onb.phi_function(k)
-                got = ev.reproduce(phi(ev.rule.nodes), zeta)
-                res = max(res, abs(got - complex(phi(np.asarray(zeta)))))
+            m = min(5, ev.onb.retained_count)
+            got = ev.reproduce(ev._node_phi[:, :m], zeta)
+            want = ev.onb.phi_values(np.asarray(zeta))[:m]
+            res = float(np.max(np.abs(got - want)))
         elif name == "self_reproduction":
-            res = max(ev.self_reproduction_residual(a, b)
-                      for a in sample[:4] for b in sample[:4])
+            res = float(np.max(ev.self_reproduction_residual(sample[:4], sample[:4])))
         elif name == "dirichlet_pairing":
             c0 = getattr(ev.domain, "center", 0.0)
             xi = complex(sample[len(sample) // 2])

@@ -120,9 +120,27 @@ class RawBasis:
         return len(self.elements)
 
     def values(self, pts) -> np.ndarray:
-        """(npts, n_elements) matrix of element values."""
+        """(npts, n_elements) matrix of element values.
+
+        An element that is the next non-negative power of the element
+        before it (same centre) is that column times (z - c): cumulative
+        products are cheaper and more accurate than complex ``**``.
+        Every other element is evaluated on its own.
+        """
         pts = np.asarray(pts, dtype=complex)
-        return np.stack([e.eval(pts) for e in self.elements], axis=-1)
+        flat = pts.reshape(-1)
+        out = np.empty((len(self.elements), flat.size), dtype=complex)
+        prev = None
+        for row, e in zip(out, self.elements):
+            same_center = prev is not None and e.center == prev.center
+            if not same_center:
+                shift = flat - e.center
+            if same_center and prev.power >= 0 and e.power == prev.power + 1:
+                np.multiply(prev_row, shift, out=row)
+            else:
+                row[:] = e.eval(flat)
+            prev, prev_row = e, row
+        return out.T.reshape(pts.shape + (len(self.elements),))
 
     def deriv_values(self, pts, order: int) -> np.ndarray:
         pts = np.asarray(pts, dtype=complex)

@@ -276,26 +276,40 @@ class KernelEvaluator:
         p = self.onb.phi_values(np.asarray(z, dtype=complex))
         return float(np.sum(np.abs(p) ** 2, axis=-1))
 
-    def reproduce(self, f_samples, zeta) -> complex:
+    def reproduce(self, f_samples, zeta):
         """Discrete reproducing integral
         sum_q w_q f(node_q) conj(K(node_q, zeta)) nu(node_q).
 
         Returns f(zeta) when f lies in the spanned space, the projection
-        value otherwise.
+        value otherwise.  ``f_samples`` is one function's node values
+        (n_nodes,), giving a complex, or the columns of an (n_nodes, m)
+        matrix, giving m values from one kernel column K(., zeta).
         """
+        f = np.asarray(f_samples)
         pz = self.onb.phi_values(np.asarray(zeta, dtype=complex))
         k_nodes = self._node_phi @ pz.conj()
-        return complex(np.sum(self.rule.weights * self._node_nu
-                              * np.asarray(f_samples) * k_nodes.conj()))
+        terms = (self.rule.weights * self._node_nu) * f.reshape(len(k_nodes), -1).T
+        # a 1-D sum per function: a 2-D row sum would round differently
+        vals = np.array([np.sum(row) for row in terms * k_nodes.conj()])
+        return complex(vals[0]) if f.ndim == 1 else vals
 
-    def self_reproduction_residual(self, z, zeta) -> float:
+    def self_reproduction_residual(self, z, zeta):
         """|K(z, zeta) - sum_q w_q K(node_q, zeta) conj(K(node_q, z)) nu_q|;
-        an exact identity for the discrete orthonormal system."""
-        k_direct = self.eval_kernel(z, zeta)
-        kz = self._node_phi @ self.onb.phi_values(np.asarray(z, dtype=complex)).conj()
-        kzeta = self._node_phi @ self.onb.phi_values(np.asarray(zeta, dtype=complex)).conj()
-        k_int = np.sum(self.rule.weights * self._node_nu * kzeta * kz.conj())
-        return abs(k_direct - complex(k_int))
+        an exact identity for the discrete orthonormal system.
+
+        Scalar z and zeta give a float; arrays give the (len(z),
+        len(zeta)) residual matrix from one node-matrix product."""
+        zs = np.atleast_1d(np.asarray(z, dtype=complex))
+        zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
+        n = len(zs)
+        p = self.onb.phi_values(np.concatenate([zs, zetas]))
+        k_nodes = p.conj() @ self._node_phi.T  # row j: K(nodes, point j)
+        wq = self.rule.weights * self._node_nu
+        # 1-D sums per entry, so an entry does not depend on the batch size
+        res = np.array([[abs(np.sum(p[i] * p[n + j].conj())
+                             - np.sum(wq * k_nodes[n + j] * k_nodes[i].conj()))
+                         for j in range(len(zetas))] for i in range(n)])
+        return float(res[0, 0]) if np.ndim(z) == np.ndim(zeta) == 0 else res
 
     def kernel_primitive(self, xi, z) -> complex:
         """Kernel primitive M(z, xi) with M(xi, xi) = 0, so that

@@ -333,3 +333,32 @@ def test_oracle_grid_follows_seed(tmp_path, monkeypatch):
         assert run_cli(tmp_path, "kernel", cfg) == 0
     assert not np.array_equal(grids[(1, "oracle.grid.z")], grids[(2, "oracle.grid.z")])
     assert not np.array_equal(grids[(1, "oracle.grid.w")], grids[(2, "oracle.grid.w")])
+
+
+def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
+    from redbergman import cli
+    from redbergman.holobasis import RawBasis
+
+    cfg = yaml.safe_load(cli.preset_text("invariants_disc"))
+    cfg.update(
+        domain={"type": "generic", "bbox": [-1.0, 1.0, -0.71, 0.71],
+                "inequalities": [{"poly": [[2, 0, 1.0], [0, 2, 2.0], [0, 0, -0.98]],
+                                  "sign": "<"}],
+                "holes": []},
+        quadrature={"n_grid": 64},
+    )
+    cfg["basis"]["degree"] = 12
+    ev, _ = cli.build_evaluator(cfg, "domain", "quadrature", "basis", cli.build_weight(cfg))
+    n_nodes = len(ev.rule.nodes)
+    calls = []
+    real = RawBasis.values
+
+    def counting(self, pts):
+        calls.append(np.shape(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(RawBasis, "values", counting)
+    run = cli.RunDir(str(tmp_path), "kernel", cfg)
+    assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
+    assert cli._run_checks(cfg, ev, cli.build_grid(cfg, "grid.z"), run) == 0.0
+    assert calls.count((n_nodes,)) == 1

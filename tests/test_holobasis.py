@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redbergman import (
     Annulus,
@@ -18,6 +20,7 @@ from redbergman import (
     pullback_weight,
     reduced_filter,
 )
+from redbergman.holobasis import RawBasis
 
 DISC = Disc(0.0, 1.0)
 ANN = Annulus(0.0, 0.5, 1.0)
@@ -79,7 +82,6 @@ def test_reduced_filter_idempotent_and_empty():
     once = reduced_filter(basis)
     twice = reduced_filter(once)
     assert once.elements == twice.elements
-    from redbergman.holobasis import RawBasis
     assert reduced_filter(RawBasis((), ANN)).elements == ()
 
 
@@ -120,3 +122,63 @@ def test_pullback_weight_compositions():
 
     b = BlaschkeProduct([0.5])
     assert pullback_weight(nu, b)(0.0) == pytest.approx(0.25)
+
+
+def stacked_values(basis, pts):
+    """Reference: every element evaluated on its own by ``**``."""
+    pts = np.asarray(pts, dtype=complex)
+    return np.stack([e.eval(pts) for e in basis.elements], axis=-1)
+
+
+# the sample points lie in 0.4 <= |z| <= 0.9, at least 0.29 from every centre
+CENTRES = (0.0, 0.1 - 0.05j, 1.6 + 0.4j, -1.2j)
+
+
+@st.composite
+def families(draw, centre):
+    kind = draw(st.sampled_from(["monomial", "laurent", "reduced"]))
+    if kind == "monomial":
+        return list(monomial_basis(centre, draw(st.integers(0, 25))).elements)
+    n_min = draw(st.integers(-8, 3))
+    basis = laurent_basis(centre, n_min, draw(st.integers(max(n_min, 0), 25)))
+    return list((reduced_filter(basis) if kind == "reduced" else basis).elements)
+
+
+@st.composite
+def bases(draw):
+    n_families = draw(st.integers(1, len(CENTRES)))
+    elements = sum((draw(families(c)) for c in CENTRES[:n_families]), [])
+    if draw(st.booleans()):
+        elements = draw(st.permutations(elements))
+    return RawBasis(tuple(elements))
+
+
+@st.composite
+def points(draw):
+    shape = draw(st.sampled_from([(), (1,), (5,), (2, 3), (4, 1)]))
+    n = int(np.prod(shape))
+    r = draw(st.lists(st.floats(0.4, 0.9), min_size=n, max_size=n))
+    t = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n))
+    return (np.array(r) * np.exp(1j * np.array(t))).reshape(shape)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(basis=bases(), pts=points())
+def test_values_match_per_element_powers(basis, pts):
+    got = basis.values(pts)
+    want = stacked_values(basis, pts)
+    assert got.shape == want.shape == np.shape(pts) + (len(basis),)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_values_of_high_powers_match_extended_precision():
+    # repeated multiplication in long double is the reference; complex
+    # ``**`` is off by up to ~6e-14 relative at degree 120 on these points
+    rng = np.random.default_rng(5)
+    z = np.sqrt(rng.uniform(0.25, 0.99, 1000)) * np.exp(2j * np.pi * rng.random(1000))
+    got = monomial_basis(0.0, 120).values(z).astype(np.clongdouble)
+    zl = z.astype(np.clongdouble)
+    ref = np.ones((len(z), 121), dtype=np.clongdouble)
+    for n in range(1, 121):
+        ref[:, n] = ref[:, n - 1] * zl
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15

@@ -322,6 +322,47 @@ def test_generic_domain_kernel_invariants():
     assert ev.eval_kernel(a, b) == np.conj(ev.eval_kernel(b, a))
 
 
+def ellipse_evaluator():
+    dom = GenericDomain(inside=lambda z: z.real ** 2 + 2.0 * z.imag ** 2 < 0.98,
+                        bbox=(-1.0, 1.0, -0.71, 0.71))
+    rule = build_generic_quadrature(dom, 64)
+    onb = orthonormalize(monomial_basis(0.0, 12, dom), rule, ONE)
+    return KernelEvaluator(onb, rule, ONE)
+
+
+BATCH_EVALUATORS = {
+    "disc": lambda: disc_evaluator_shared(),
+    "weighted disc": lambda: disc_evaluator(degree=20, n_radial=24, n_angular=64,
+                                            weight=PowerWeight(1.0)),
+    "ellipse": ellipse_evaluator,
+}
+CHECK_POINTS = np.array([0.3, -0.2 + 0.4j, 0.5j, -0.45 - 0.1j, 0.1 + 0.05j])
+
+
+@pytest.mark.parametrize("case", BATCH_EVALUATORS)
+def test_batched_self_reproduction_matches_scalar_calls(case):
+    ev = BATCH_EVALUATORS[case]()
+    zs, zetas = CHECK_POINTS, CHECK_POINTS[1:][::-1]
+    got = ev.self_reproduction_residual(zs, zetas)
+    want = np.array([[ev.self_reproduction_residual(a, b) for b in zetas] for a in zs])
+    assert got.shape == (len(zs), len(zetas))
+    assert isinstance(ev.self_reproduction_residual(zs[0], zetas[0]), float)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("case", BATCH_EVALUATORS)
+def test_batched_reproduce_matches_column_calls(case):
+    ev = BATCH_EVALUATORS[case]()
+    nodes = ev.rule.nodes
+    f = np.column_stack([ev._node_phi[:, :3], np.ones(len(nodes)), 2.0 * nodes, nodes ** 7])
+    zeta = 0.25 - 0.3j
+    got = ev.reproduce(f, zeta)
+    want = np.array([ev.reproduce(f[:, j], zeta) for j in range(f.shape[1])])
+    assert got.shape == (f.shape[1],)
+    assert isinstance(ev.reproduce(f[:, 0], zeta), complex)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_evaluator_thread_safety():
     from concurrent.futures import ThreadPoolExecutor
 
