@@ -50,7 +50,6 @@ from .transform import (
     recover_map,
     verify_correspondence,
     verify_proper,
-    verify_weighted,
 )
 
 __version__ = "0.1.0"

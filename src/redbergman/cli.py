@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 gated-residual failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -307,12 +306,21 @@ class RunDir:
         return lines
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, table):
+    """Write ``header`` and the rows of the ``(n_rows, len(header))``
+    float array ``table`` as CSV: excel dialect (CRLF, nothing quoted),
+    each value as ``.17g``.  Each column formats each distinct bit
+    pattern once, so 0.0 and -0.0 keep their own strings."""
+    table = np.asarray(table, dtype=np.float64)
+    cols = []
+    for bits in table.view(np.int64).T:
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        strs = np.array([_fmt(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        cols.append(strs[inverse].tolist())
+    row = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row.__mod__, zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +411,11 @@ def run_kernel(cfg, run: RunDir):
     zs = build_grid(cfg, "grid.z", seed)
     ws = build_grid(cfg, "grid.w", seed)
     if cfg_get(cfg, "output.csv", True):
-        kgrid = ev.eval_kernel_grid(zs, ws)
-        rows = []
-        for i, z in enumerate(zs):
-            for j, w in enumerate(ws):
-                k = kgrid[i, j]
-                rows.append((float(z.real), float(z.imag), float(w.real),
-                             float(w.imag), float(k.real), float(k.imag)))
+        k = ev.eval_kernel_grid(zs, ws)
+        z, w = np.meshgrid(zs, ws, indexing="ij")
+        table = np.stack((z.real, z.imag, w.real, w.imag, k.real, k.imag), axis=-1)
         write_csv(run.file("kernel.csv"),
-                  ["re_z", "im_z", "re_w", "im_w", "re_k", "im_k"], rows)
+                  ["re_z", "im_z", "re_w", "im_w", "re_k", "im_k"], table.reshape(-1, 6))
 
     gate = 0.0
     if cfg_get(cfg, "oracle", None) is not None:
@@ -467,9 +471,8 @@ def _write_residual_csv(run, report):
     j, i = np.nonzero(report.kept.T)
     z, w, lhs = report.z[i], report.w[j], report.lhs[i, j]
     cols = (z.real, z.imag, w.real, w.imag, np.abs(lhs - report.rhs[i, j]), np.abs(lhs))
-    rows = list(zip(*(c.tolist() for c in cols)))
     write_csv(run.file("samples.csv"),
-              ["re_z", "im_z", "re_w", "im_w", "abs_residual", "abs_lhs"], rows)
+              ["re_z", "im_z", "re_w", "im_w", "abs_residual", "abs_lhs"], np.column_stack(cols))
 
 
 def run_adjoint(cfg, run: RunDir):
@@ -539,16 +542,11 @@ def run_recover(cfg, run: RunDir):
     run.add(probe=str(rec.probe), probe_shifted=rec.probe_shifted,
             excluded=rec.excluded, sup_map_error=sup_err)
     if cfg_get(cfg, "output.csv", True):
-        rows = []
-        for i, z in enumerate(zs):
-            if not rec.valid[i]:
-                continue
-            g = rec.map_estimate[i]
-            rows.append((float(z.real), float(z.imag), float(g.real), float(g.imag),
-                         float(fz[i].real), float(fz[i].imag), float(err[i])))
+        v = rec.valid
+        z, g, fv = zs[v], rec.map_estimate[v], fz[v]
         write_csv(run.file("recover.csv"),
                   ["re_z", "im_z", "re_ghat", "im_ghat", "re_f", "im_f", "abs_err"],
-                  rows)
+                  np.column_stack((z.real, z.imag, g.real, g.imag, fv.real, fv.imag, err[v])))
     return sup_err
 
 

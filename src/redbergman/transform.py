@@ -38,7 +38,6 @@ __all__ = [
     "operator_bound_check",
     "verify_proper",
     "verify_correspondence",
-    "verify_weighted",
     "recover_map",
     "antiholomorphic_residual",
 ]
@@ -180,20 +179,9 @@ def verify_proper(f: ProperMap, ev1: KernelEvaluator, ev2: KernelEvaluator,
                   z_grid, w_grid, exclusion: float = GRID_EXCLUSION,
                   config: dict | None = None) -> TransformReport:
     """Residuals of f'(z) K2(f(z), w) = sum_k K1(z, F_k(w)) conj(F_k'(w))
-    over the grid product; ev1 lives on the source, ev2 on the target."""
-    return verify_correspondence(f, ev1, ev2, z_grid, w_grid, exclusion, config)
-
-
-def verify_weighted(f: ProperMap, weight: WeightFn, ev1: KernelEvaluator,
-                    ev2: KernelEvaluator, z_grid, w_grid,
-                    exclusion: float = GRID_EXCLUSION,
-                    config: dict | None = None) -> TransformReport:
-    """Weighted version of verify_proper: ev1 must carry the pulled-back
-    weight nu o f and ev2 the weight nu.  Shares the sweep with
-    verify_proper, so nu = 1 reproduces it bit for bit."""
-    nu2 = np.asarray(weight(ev2.rule.nodes), dtype=float)
-    if not np.all(nu2 > 0):
-        raise ValueError("weight must be positive on the target rule nodes")
+    over the grid product; ev1 lives on the source, ev2 on the target.
+    For weighted kernels ev2 carries a weight nu and ev1 its pull-back
+    nu o f (``pullback_weight``)."""
     return verify_correspondence(f, ev1, ev2, z_grid, w_grid, exclusion, config)
 
 

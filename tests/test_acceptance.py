@@ -28,7 +28,6 @@ from redbergman import (
     recover_map,
     verify_correspondence,
     verify_proper,
-    verify_weighted,
 )
 from redbergman.oracles import annulus_kernel, disc_kernel, disc_power_weight_kernel
 
@@ -120,7 +119,6 @@ def test_criterion_5_correspondences():
 
 
 def test_criterion_6_weighted():
-    nu = PowerWeight(1.0)
     f = PowerMap(2)
     ev2 = disc_evaluator(40, 40, 160, weight_kind="abs2")
     ev1 = disc_evaluator(40, 40, 160, weight_kind="pullback_abs2_sq")
@@ -132,11 +130,10 @@ def test_criterion_6_weighted():
                    disc_power_weight_kernel(grid[:, None], grid[None, :], 2.0))
 
     zg, wg = disc_grid(0.7, 21), disc_grid(0.49, 20)
-    rep = verify_weighted(f, nu, ev1, ev2, zg, wg)
+    rep = verify_proper(f, ev1, ev2, zg, wg)
 
-    one = ConstantWeight()
-    wrep = verify_weighted(f, one, disc_evaluator(40, 40, 160, weight_kind="pullback_one"),
-                           disc_evaluator(40, 40, 160), zg, wg)
+    wrep = verify_proper(f, disc_evaluator(40, 40, 160, weight_kind="pullback_one"),
+                         disc_evaluator(40, 40, 160), zg, wg)
     prep = verify_proper(f, disc_evaluator(40, 40, 160), disc_evaluator(40, 40, 160),
                          zg, wg)
     bitwise = (wrep.max_rel_residual == prep.max_rel_residual

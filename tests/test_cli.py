@@ -1,10 +1,18 @@
 """CLI behavior: exit codes, determinism, summaries, presets."""
 
+import csv
+import dataclasses
+import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import redbergman
 from redbergman.cli import main, preset_names
 
 DISC_KERNEL_CFG = """
@@ -362,3 +370,130 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
     assert cli._run_checks(cfg, ev, cli.build_grid(cfg, "grid.z"), run) == 0.0
     assert calls.count((n_nodes,)) == 1
+
+
+def csv_writer_oracle(header, rows):
+    """The per-row ``csv.writer`` output that ``write_csv`` must match."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".17g") for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+MAX_FLOAT = 1.7976931348623157e308
+# signed zeros and NaNs, infinities, two subnormals and the largest finite floats
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+                  5e-324, -2.2250738585072e-308, MAX_FLOAT, -MAX_FLOAT]
+
+
+@st.composite
+def float_tables(draw):
+    # a few values per table, so columns repeat them as grid coordinates do
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6))
+    n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols))
+    return np.array(cells, dtype=float).reshape(n_rows, n_cols)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=float_tables())
+@example(table=np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]]).T)
+@example(table=np.array([[-0.0], [0.0], [-0.0]]))
+@example(table=np.zeros((0, 3)))
+def test_write_csv_matches_csv_writer(tmp_path, table):
+    from redbergman.cli import write_csv
+
+    header = [f"c{k}" for k in range(table.shape[1])]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, table)
+    assert path.read_bytes() == csv_writer_oracle(header, table.tolist())
+
+
+def test_kernel_and_recover_csv_rows_keep_grid_order(tmp_path, monkeypatch):
+    from redbergman import cli
+
+    seen = {}
+    real_grid = cli.KernelEvaluator.eval_kernel_grid
+
+    def spy_grid(self, zs, ws):
+        out = real_grid(self, zs, ws)
+        seen.setdefault("kernel", (zs, ws, out))
+        return out
+
+    real_recover = cli.recover_map
+
+    def spy_recover(f, ev, zs, **kw):
+        rec = real_recover(f, ev, zs, **kw)
+        # drop every third point so the CSV has to skip rows
+        valid = rec.valid & (np.arange(len(zs)) % 3 != 0)
+        rec = dataclasses.replace(rec, valid=valid, excluded=int(np.sum(~valid)))
+        seen["recover"] = (f, zs, rec)
+        return rec
+
+    monkeypatch.setattr(cli.KernelEvaluator, "eval_kernel_grid", spy_grid)
+    monkeypatch.setattr(cli, "recover_map", spy_recover)
+
+    kcfg = yaml.safe_load(DISC_KERNEL_CFG)
+    kcfg["grid"] = {"z": {"kind": "random_disc", "rmax": 0.5, "n": 7},
+                    "w": {"kind": "cartesian", "rmax": 0.5, "n": 3}}
+    assert run_cli(tmp_path, "kernel", write_cfg(tmp_path, yaml.safe_dump(kcfg), "k.yaml")) == 0
+    zs, ws, kgrid = seen["kernel"]
+    assert len(zs) != len(ws)
+    rows = []
+    for i, z in enumerate(zs):
+        for j, w in enumerate(ws):
+            k = kgrid[i, j]
+            rows.append((float(z.real), float(z.imag), float(w.real),
+                         float(w.imag), float(k.real), float(k.imag)))
+    want = csv_writer_oracle(["re_z", "im_z", "re_w", "im_w", "re_k", "im_k"], rows)
+    assert (only_run_dir(tmp_path, "kernel-") / "kernel.csv").read_bytes() == want
+
+    rcfg = yaml.safe_load(cli.preset_text("recover_blaschke"))
+    del rcfg["run"]
+    rcfg.update(quadrature={"n_radial": 24, "n_angular": 96},
+                grid={"z": {"kind": "cartesian", "rmax": 0.6, "n": 5}})
+    rcfg["basis"]["degree"] = 24
+    assert run_cli(tmp_path, "recover", write_cfg(tmp_path, yaml.safe_dump(rcfg), "r.yaml")) == 0
+    f, zs, rec = seen["recover"]
+    fz = f(zs)
+    err = np.abs(rec.map_estimate - fz)
+    rows = []
+    for i, z in enumerate(zs):
+        if not rec.valid[i]:
+            continue
+        g = rec.map_estimate[i]
+        rows.append((float(z.real), float(z.imag), float(g.real), float(g.imag),
+                     float(fz[i].real), float(fz[i].imag), float(err[i])))
+    assert 0 < len(rows) < len(zs)
+    want = csv_writer_oracle(["re_z", "im_z", "re_ghat", "im_ghat", "re_f", "im_f", "abs_err"],
+                             rows)
+    assert (only_run_dir(tmp_path, "recover-") / "recover.csv").read_bytes() == want
+
+
+def test_verify_outputs_survive_python_O(tmp_path):
+    from redbergman import cli
+
+    cfg = yaml.safe_load(cli.preset_text("proper_square_disc"))
+    cfg["output"] = {"csv": True}
+    path = write_cfg(tmp_path, yaml.safe_dump(cfg))
+    src = os.path.dirname(os.path.dirname(redbergman.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # the assert fails the run unless -O strips assertions
+    script = ("import sys; from redbergman.cli import main; "
+              "assert False, 'assertions are on'; "
+              "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "--output-dir",
+                           str(tmp_path / "opt"), "verify", path],
+                          env=dict(os.environ, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["--output-dir", str(tmp_path / "in"), "verify", path]) == 0
+    (run_dir,) = os.listdir(tmp_path / "in")
+    for name in ("summary.txt", "samples.csv"):
+        got = (tmp_path / "opt" / run_dir / name).read_bytes()
+        assert got == (tmp_path / "in" / run_dir / name).read_bytes(), name

@@ -74,6 +74,18 @@ def test_gram_disc_weighted():
     assert g[1, 1] == pytest.approx(math.pi / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("polar", [True, False], ids=["polar", "dense"])
+def test_gram_refuses_weight_vanishing_at_a_node(polar):
+    # |z - node|^2 pulled back from |w|^2: zero at one quadrature node
+    rule = build_disc_quadrature(0.0, 1.0, 12, 24)
+    if not polar:
+        rule = dataclasses.replace(rule, polar=None)
+    node = rule.nodes[30]
+    weight = pullback_weight(PowerWeight(1.0), lambda z: z - node)
+    with pytest.raises(EvaluationError, match="weight is non-positive"):
+        gram_matrix(monomial_basis(0.0, 4, rule.domain), rule, weight)
+
+
 def test_gram_nonfinite_value_reports_element_and_node():
     dom = GenericDomain(inside=lambda z: True, bbox=(0.0, 1.0, 0.0, 1.0))
     rule = build_generic_quadrature(dom, 10)

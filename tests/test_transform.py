@@ -27,7 +27,6 @@ from redbergman import (
     recover_map,
     verify_correspondence,
     verify_proper,
-    verify_weighted,
 )
 
 ONE = ConstantWeight()
@@ -236,23 +235,21 @@ def test_verify_weighted_radial_poly():
     pulled = pullback_weight(nu, f)              # 1 + |z|^4
     ev1 = KernelEvaluator(orthonormalize(basis, rule, pulled), rule, pulled)
     ev2 = KernelEvaluator(orthonormalize(basis, rule, nu), rule, nu)
-    report = verify_weighted(f, nu, ev1, ev2, disc_grid(0.7, 11), disc_grid(0.49, 10))
+    report = verify_proper(f, ev1, ev2, disc_grid(0.7, 11), disc_grid(0.49, 10))
     assert report.max_rel_residual < 1e-6
 
 
 def test_verify_weighted_power2_and_specialization():
     f = PowerMap(2)
-    nu = PowerWeight(1.0)
     ev1 = disc_evaluator(weight_kind="pullback_abs2_sq")
     ev2 = disc_evaluator(weight_kind="abs2")
     zg, wg = disc_grid(0.7, 11), disc_grid(0.49, 10)
-    report = verify_weighted(f, nu, ev1, ev2, zg, wg)
+    report = verify_proper(f, ev1, ev2, zg, wg)
     assert report.max_rel_residual < 1e-6
 
-    # nu = 1 must reproduce verify_proper bit for bit
-    one = ConstantWeight()
-    wrep = verify_weighted(f, one, disc_evaluator(weight_kind="pullback_one"),
-                           disc_evaluator(weight_kind="one"), zg, wg)
+    # the pulled-back weight 1 o f must reproduce the unweighted sweep bit for bit
+    wrep = verify_proper(f, disc_evaluator(weight_kind="pullback_one"),
+                         disc_evaluator(weight_kind="one"), zg, wg)
     prep = verify_proper(f, disc_evaluator(), disc_evaluator(), zg, wg)
     assert wrep.max_rel_residual == prep.max_rel_residual
     assert wrep.max_abs_residual == prep.max_abs_residual
@@ -269,7 +266,7 @@ def test_verify_weighted_identity_any_weight():
                           rule, pullback_weight(nu, f))
     ev2 = KernelEvaluator(orthonormalize(basis, rule, nu), rule, nu)
     grid = disc_grid(0.6, 9)
-    report = verify_weighted(f, nu, ev1, ev2, grid, grid)
+    report = verify_proper(f, ev1, ev2, grid, grid)
     assert report.max_rel_residual < 1e-12
 
 
@@ -313,8 +310,8 @@ def test_verify_weighted_between_annuli():
     b2 = reduced_filter(laurent_basis(0.0, -20, 20, rule2.domain))
     ev1 = KernelEvaluator(orthonormalize(b1, rule1, pulled), rule1, pulled)
     ev2 = KernelEvaluator(orthonormalize(b2, rule2, nu), rule2, nu)
-    rep = verify_weighted(f, nu, ev1, ev2, annulus_grid(0.75, 0.95, 4, 8),
-                          annulus_grid(0.55, 0.95, 5, 8))
+    rep = verify_proper(f, ev1, ev2, annulus_grid(0.75, 0.95, 4, 8),
+                        annulus_grid(0.55, 0.95, 5, 8))
     assert rep.excluded == 0
     assert rep.max_rel_residual < 1e-5
 
