@@ -5,11 +5,12 @@ regions given by a membership predicate over a bounding box.  Quadrature
 rules approximate integrals against area Lebesgue measure.
 
 Disc and annulus rules are tensor products in polar coordinates:
-Gauss-Legendre in radius (polar Jacobian r folded into the weights) and
-equispaced trapezoid in angle.  The trapezoid rule is exact for
-trigonometric polynomials of degree below the number of angular nodes,
-so inner products of (Laurent) monomials are angularly exact; that is
-the accuracy backbone of the whole library.  A polar rule carries this
+Gauss-Legendre in radius (polar Jacobian r folded into the weights;
+nodes are built once per count and shared read-only) and equispaced
+trapezoid in angle.  The trapezoid rule is exact for trigonometric
+polynomials of degree below the number of angular nodes, so inner
+products of (Laurent) monomials are angularly exact; that is the
+accuracy backbone of the whole library.  A polar rule carries this
 structure in ``QuadratureRule.polar``; other rules leave it ``None``.
 
 Generic domains get a first-order midpoint rule on a uniform cell grid;
@@ -18,6 +19,7 @@ good enough for coarse property checks, not for tight tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -181,13 +183,19 @@ class QuadratureRule:
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
-    def integrate(self, values) -> complex:
-        """Discrete integral of samples taken at the rule's nodes."""
-        return complex(np.sum(np.asarray(values) * self.weights))
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _polar_rule(center, r_lo, r_hi, n_radial, n_angular, domain, area):
-    x, w = np.polynomial.legendre.leggauss(n_radial)
+    if n_radial < 1 or n_angular < 1:
+        raise ValueError("node counts must be >= 1")
+    x, w = _gauss_legendre(n_radial)
     radii = 0.5 * (r_hi + r_lo) + 0.5 * (r_hi - r_lo) * x
     # weight = GL weight * interval scale * polar Jacobian r
     wr = w * 0.5 * (r_hi - r_lo) * radii
@@ -218,22 +226,16 @@ def build_disc_quadrature(center, radius, n_radial: int, n_angular: int) -> Quad
     construction, and monomial inner products are angularly exact for
     frequency differences below ``n_angular``.
     """
-    require_finite(center)
-    if n_radial < 1 or n_angular < 1:
-        raise ValueError("node counts must be >= 1")
     domain = Disc(complex(center), float(radius))
-    return _polar_rule(complex(center), 0.0, float(radius), n_radial, n_angular,
+    return _polar_rule(domain.center, 0.0, domain.radius, n_radial, n_angular,
                        domain, domain.area())
 
 
 def build_annulus_quadrature(center, r_inner, r_outer, n_radial: int,
                              n_angular: int) -> QuadratureRule:
     """Tensor-product polar rule on an annulus; see build_disc_quadrature."""
-    require_finite(center)
-    if n_radial < 1 or n_angular < 1:
-        raise ValueError("node counts must be >= 1")
     domain = Annulus(complex(center), float(r_inner), float(r_outer))
-    return _polar_rule(complex(center), domain.r_inner, domain.r_outer,
+    return _polar_rule(domain.center, domain.r_inner, domain.r_outer,
                        n_radial, n_angular, domain, domain.area())
 
 

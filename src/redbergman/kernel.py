@@ -2,11 +2,11 @@
 
 The (weighted, reduced or full) Bergman kernel of a truncated basis is
 computed as an orthonormal series K(z, w) = sum_k phi_k(z) *
-conj(phi_k(w)).  Orthonormal coefficients come from a pivoted Cholesky
-factorization of the discrete Gram matrix; derivatives in the
-conjugated slot are analytic (no finite differences), and primitives of
-the orthonormal elements give the kernel primitive whose Dirichlet
-pairing evaluates derivatives.
+conj(phi_k(w)).  Orthonormal coefficients come from a left-looking
+pivoted Cholesky factorization of the discrete Gram matrix; derivatives
+in the conjugated slot are analytic (no finite differences), and
+primitives of the orthonormal elements give the kernel primitive whose
+Dirichlet pairing evaluates derivatives.
 
 On a polar rule with every basis element centred at the rule's centre,
 the angular trapezoid sum in a Gram entry is a DFT of the weight on one
@@ -43,32 +43,31 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        h = np.max(np.abs(self.entries - self.entries.conj().T))
-        scale = max(np.max(np.abs(self.entries)), 1.0)
-        if h > 1e-13 * scale:
-            raise ValueError("Gram matrix failed Hermitian symmetrization")
-        if not np.all(np.real(np.diag(self.entries)) > 0):
-            raise ValueError("Gram diagonal must be strictly positive")
+        if not np.all(np.isfinite(self.entries)):
+            raise DegenerateBasisError("Gram matrix has a non-finite entry")
 
 
 def _polar_gram(powers, polar: PolarStructure, nu) -> np.ndarray:
     """G[a, b] = sum_i w_i r_i^(n_a + n_b) F_i[(n_b - n_a) mod n_angular]
-    for centred powers n, where F_i is the DFT of nu on ring i."""
+    for centred powers n, where F_i is the DFT of nu on ring i.  The real
+    radial moments multiply F's real and imaginary parts in one real product."""
     s = np.arange(2 * powers.min(), 2 * powers.max() + 1)
     f = np.fft.fft(nu.reshape(len(polar.radii), polar.n_angular), axis=1)
-    m = (polar.ring_weights[:, None] * polar.radii[:, None] ** s).T @ f
+    moments = (polar.ring_weights[:, None] * polar.radii[:, None] ** s).T
+    m = (moments @ f.view(float)).view(complex)
     return m[powers[:, None] + powers[None, :] - s[0],
              (powers[None, :] - powers[:, None]) % polar.n_angular]
 
 
 def gram_matrix(basis: RawBasis, rule: QuadratureRule, weight: WeightFn) -> GramMatrix:
     """Assemble the weighted Gram matrix of a raw basis on a rule
-    (structured or dense, see the module docstring)."""
+    (structured or dense, see the module docstring).  An element whose
+    discrete norm under- or overflows raises DegenerateBasisError."""
     if len(basis) == 0:
         raise DegenerateBasisError("cannot assemble a Gram matrix for an empty basis")
     polar = rule.polar
     structured = polar is not None and all(e.center == polar.center for e in basis.elements)
-    # the finiteness check below reports what these states would warn about
+    # the finiteness checks below report what these states would warn about
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if structured:
             # on ring i each element is r_i^n times a unimodular factor
@@ -87,12 +86,17 @@ def gram_matrix(basis: RawBasis, rule: QuadratureRule, weight: WeightFn) -> Gram
     nu = np.asarray(weight(rule.nodes), dtype=float)
     if not np.all(nu > 0):
         raise EvaluationError("weight is non-positive at a quadrature node")
-    if structured:
-        g = _polar_gram(powers, polar, nu)
-    else:
-        wq = rule.weights * nu
-        g = (vals * wq[:, None]).T @ vals.conj()
-    g = 0.5 * (g + g.conj().T)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if structured:
+            g = _polar_gram(powers, polar, nu)
+        else:
+            wq = rule.weights * nu
+            g = (vals * wq[:, None]).T @ vals.conj()
+        g = 0.5 * (g + g.conj().T)
+    for e, norm in zip(basis.elements, np.real(np.diag(g))):
+        if not 0.0 < norm < np.inf:
+            raise DegenerateBasisError(f"element {e!r} has Gram norm {norm}: its "
+                                       "values under- or overflow on the rule")
     return GramMatrix(entries=g)
 
 
@@ -107,40 +111,37 @@ def _pivoted_cholesky(a: np.ndarray, drop_tol: float):
     Pivoting is stabilized: the earliest index within a factor 2 of the
     max pivot wins, so well-conditioned families keep their given order
     while near-dependent elements are still deferred and dropped.
+
+    Left-looking and unblocked (Hammarling, Higham & Lucas 2007): step k
+    forms only pivot j's column, a[:, j] minus one product with the k
+    factor columns so far (stored as contiguous rows), and subtracts its
+    |entries|^2 from the remaining pivots.
     """
-    a = a.copy()
     n = a.shape[0]
+    d = np.real(np.diag(a)).copy()
+    cutoff = max(drop_tol * d.max(), 0.0)
+    active = np.ones(n, dtype=bool)
+    cols = np.zeros((n, n), dtype=complex)
     order = []
     pivots = []
-    L = np.zeros((n, n), dtype=complex)
-    active = list(range(n))
-    first_pivot = None
     for k in range(n):
-        d = np.real(np.diag(a))
-        dmax = max(d[i] for i in active)
-        if first_pivot is None:
-            if dmax <= 0:
-                break
-            first_pivot = dmax
-        if dmax <= drop_tol * first_pivot:
+        dmax = d.max(where=active, initial=-np.inf)
+        if dmax <= cutoff:
             break
-        floor = max(0.5 * dmax, drop_tol * first_pivot)
-        j = next(i for i in active if d[i] >= floor)
+        j = int(np.argmax(active & (d >= max(0.5 * dmax, cutoff))))
         piv = d[j]
+        col = (a[:, j] - cols[:k, j].conj() @ cols[:k]) / np.sqrt(piv)
+        # eliminated rows stay exactly zero, as in the right-looking form
+        col[~active] = 0.0
+        cols[k] = col
+        d -= col.real ** 2 + col.imag ** 2
+        active[j] = False
         order.append(j)
         pivots.append(piv)
-        active.remove(j)
-        root = np.sqrt(piv)
-        col = a[:, j] / root
-        L[:, k] = col
-        a -= np.outer(col, col.conj())
-        # keep the eliminated row/column out of later pivots
-        a[j, :] = 0.0
-        a[:, j] = 0.0
     if not order:
         raise DegenerateBasisError("all Gram pivots fell below the drop tolerance")
     r = len(order)
-    return order, L[np.ix_(order, range(r))], np.array(pivots)
+    return order, cols[:r, order].T, np.array(pivots)
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,13 @@ def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,
     if drop_tol <= 0:
         raise ValueError("drop_tol must be positive")
     g = gram_matrix(basis, rule, weight).entries
-    d = np.real(np.diag(g)).copy()
-    if np.any(d <= 0):
-        raise DegenerateBasisError("Gram diagonal is not strictly positive")
-    scale = np.sqrt(d)
+    scale = np.sqrt(np.real(np.diag(g)))
     corr = g / np.outer(scale, scale)
     order, L, pivots = _pivoted_cholesky(corr, drop_tol)
     r = len(order)
     # phi = L^{-1} applied to the scaled, pivot-ordered raw elements
     rhs = np.zeros((r, len(basis)), dtype=complex)
-    for k, j in enumerate(order):
-        rhs[k, j] = 1.0 / scale[j]
+    rhs[np.arange(r), order] = 1.0 / scale[order]
     coeffs = np.linalg.solve(L, rhs)
     return OrthonormalBasis(
         raw=basis,

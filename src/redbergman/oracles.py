@@ -58,13 +58,13 @@ def annulus_norm_sq(n: int, r_in: float, r_out: float) -> float:
 
 def annulus_kernel(z, w, r_in: float, r_out: float, n_min: int, n_max: int,
                    reduced: bool = True):
-    """Truncated orthonormal series for the annulus kernel over the
-    index window [n_min, n_max]; ``reduced`` skips the n = -1 term."""
-    z = np.asarray(z, dtype=complex)
-    x = z * np.conj(np.asarray(w, dtype=complex))
-    out = np.zeros(np.broadcast(z, x).shape, dtype=complex)
-    for n in range(n_min, n_max + 1):
-        if reduced and n == -1:
-            continue
-        out = out + x ** n / annulus_norm_sq(n, r_in, r_out)
-    return out
+    """Truncated orthonormal series for the annulus kernel over the index
+    window [n_min, n_max]; ``reduced`` skips the n = -1 term.  With x = z conj(w),
+    Horner's rule sums n >= 0 in x and n < 0 in 1/x: no high power of x is formed."""
+    x = np.asarray(z, dtype=complex) * np.conj(np.asarray(w, dtype=complex))
+    pos = neg = 0.0
+    for n in range(n_max, max(n_min, 0) - 1, -1):
+        pos = pos * x + 1.0 / annulus_norm_sq(n, r_in, r_out)
+    for n in range(n_min, min(n_max, -1) + 1):
+        neg = neg / x + (0.0 if reduced and n == -1 else 1.0 / annulus_norm_sq(n, r_in, r_out))
+    return pos * x ** max(n_min, 0) + (neg * x ** min(n_max, -1) if n_min < 0 else 0.0)

@@ -8,12 +8,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import redbergman
-from redbergman.cli import main, preset_names
+from redbergman.cli import main, preset_names, preset_text
 
 DISC_KERNEL_CFG = """
 run: kernel
@@ -230,6 +231,19 @@ def test_numerical_failure_exit_code_and_summary(tmp_path):
     summary = (only_run_dir(tmp_path, "recover-") / "summary.txt").read_text()
     assert "status = error" in summary
     assert "NearCriticalError" in summary
+
+
+@pytest.mark.parametrize("radius, degree, norm", [(0.02, 120, "0.0"), (100, 100, "inf")],
+                         ids=["underflow", "overflow"])
+def test_gram_norm_out_of_range_is_a_numerical_failure(tmp_path, radius, degree, norm):
+    # z^n on a tiny disc underflows to a zero norm, on a huge one it overflows
+    cfg = write_cfg(tmp_path, preset_text("disc_kernel_oracle"))
+    assert run_cli(tmp_path, "kernel", cfg, "--set", f"domain.radius={radius}",
+                   "--set", f"basis.degree={degree}") == 3
+    summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
+    assert "status = error" in summary
+    assert "DegenerateBasisError: element BasisElement((z - 0j)^" in summary
+    assert f"has Gram norm {norm}:" in summary
 
 
 def test_constant_weight_verify_matches_unweighted(tmp_path):

@@ -14,7 +14,7 @@ from redbergman import (
     build_generic_quadrature,
 )
 from redbergman.errors import EmptyDomainError
-from redbergman.geometry import _polar_rule
+from redbergman.geometry import _gauss_legendre, _polar_rule
 
 
 def quad_integral(rule, f):
@@ -52,6 +52,21 @@ def test_annulus_rule_integrates_inverse_square():
     rule = build_annulus_quadrature(0.0, 0.5, 1.0, 40, 80)
     val = quad_integral(rule, lambda z: 1.0 / np.abs(z) ** 2)
     assert val == pytest.approx(2.0 * math.pi * math.log(2.0), rel=1e-8)
+
+
+def test_gauss_legendre_memo_is_exact_and_read_only():
+    rules = [build_disc_quadrature(0.0, 1.0, 37, 16) for _ in range(2)]
+    assert np.array_equal(rules[0].nodes, rules[1].nodes)
+    assert np.array_equal(rules[0].weights, rules[1].weights)
+    x, w = _gauss_legendre(37)
+    assert _gauss_legendre(37)[0] is x
+    want_x, want_w = np.polynomial.legendre.leggauss(37)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    # the radii of the rule are exactly those of a fresh leggauss call
+    assert np.array_equal(rules[0].polar.radii, 0.5 + 0.5 * want_x)
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_polar_rule_checks_raise():

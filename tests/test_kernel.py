@@ -3,7 +3,9 @@
 Expected values come from analytic norm integrals:
     disc:     ||z^n||^2 = pi/(n+1),  with weight |z|^2: pi/(n+2)
     annulus:  ||z^n||^2 = 2 pi (r2^(2n+2)-r1^(2n+2))/(2n+2),  ||1/z||^2 = 2 pi ln(r2/r1)
-and from the closed forms in redbergman.oracles.
+and from the closed forms in redbergman.oracles.  The pivoted Cholesky
+factorization and the structured Gram's real product are checked against
+the earlier right-looking loop and complex product, kept below.
 """
 
 import dataclasses
@@ -12,11 +14,14 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redbergman import (
     BlaschkeProduct,
     ConstantWeight,
     GenericDomain,
+    GramMatrix,
     KernelEvaluator,
     PowerWeight,
     build_annulus_quadrature,
@@ -30,7 +35,7 @@ from redbergman import (
     reduced_filter,
 )
 from redbergman import cli, kernel
-from redbergman.errors import EvaluationError, PrimitiveUnavailableError
+from redbergman.errors import DegenerateBasisError, EvaluationError, PrimitiveUnavailableError
 from redbergman.holobasis import BasisElement, RawBasis
 from redbergman.oracles import annulus_kernel, disc_kernel, disc_power_weight_kernel
 
@@ -114,15 +119,87 @@ def assert_polar_gram_matches_dense(basis, rule, weight):
     assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
 
 
+def complex_product_polar_gram(powers, polar, nu):
+    """The structured Gram with the radial moments cast to complex for a
+    complex matmul: the reference for the real product."""
+    s = np.arange(2 * powers.min(), 2 * powers.max() + 1)
+    f = np.fft.fft(nu.reshape(len(polar.radii), polar.n_angular), axis=1)
+    m = (polar.ring_weights[:, None] * polar.radii[:, None] ** s).T @ f
+    return m[powers[:, None] + powers[None, :] - s[0],
+             (powers[None, :] - powers[:, None]) % polar.n_angular]
+
+
+def right_looking_cholesky(a, drop_tol):
+    """The right-looking pivoted Cholesky: a full Schur-complement update
+    per step, with the same stabilized pivot rule.  The reference for
+    kernel._pivoted_cholesky."""
+    a = a.copy()
+    n = a.shape[0]
+    order = []
+    pivots = []
+    L = np.zeros((n, n), dtype=complex)
+    active = list(range(n))
+    first_pivot = None
+    for k in range(n):
+        d = np.real(np.diag(a))
+        dmax = max(d[i] for i in active)
+        if first_pivot is None:
+            if dmax <= 0:
+                break
+            first_pivot = dmax
+        if dmax <= drop_tol * first_pivot:
+            break
+        floor = max(0.5 * dmax, drop_tol * first_pivot)
+        j = next(i for i in active if d[i] >= floor)
+        piv = d[j]
+        order.append(j)
+        pivots.append(piv)
+        active.remove(j)
+        root = np.sqrt(piv)
+        col = a[:, j] / root
+        L[:, k] = col
+        a -= np.outer(col, col.conj())
+        # keep the eliminated row/column out of later pivots
+        a[j, :] = 0.0
+        a[:, j] = 0.0
+    if not order:
+        raise DegenerateBasisError("all Gram pivots fell below the drop tolerance")
+    r = len(order)
+    return order, L[np.ix_(order, range(r))], np.array(pivots)
+
+
+def assert_cholesky_matches_right_looking(a, drop_tol):
+    """Same pivot order, an exactly lower-triangular factor, and pivots
+    and factor to 1e-13 of the first pivot.
+    Factor column k is a Schur-complement column over sqrt(pivot k), so
+    it is compared after multiplying back by sqrt(pivot k): a small
+    retained pivot amplifies the rounding of its column, in both forms."""
+    order, L, pivots = kernel._pivoted_cholesky(a, drop_tol)
+    want_order, want_L, want_pivots = right_looking_cholesky(a, drop_tol)
+    assert order == want_order
+    assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
+    scale = want_pivots[0]
+    assert np.max(np.abs(pivots - want_pivots)) <= 1e-13 * scale
+    assert np.max(np.abs(L - want_L) * np.sqrt(want_pivots)) <= 1e-13 * scale
+    return order
+
+
 @pytest.mark.parametrize("name", cli.preset_names())
 def test_polar_gram_matches_dense_on_presets(name, tmp_path, monkeypatch):
     triples = []
+    factorizations = []
 
     def recording_gram(basis, rule, weight):
         triples.append((basis, rule, weight))
         return gram_matrix(basis, rule, weight)
 
+    def recording_cholesky(a, drop_tol):
+        factorizations.append((a, drop_tol))
+        return pivoted_cholesky(a, drop_tol)
+
+    pivoted_cholesky = kernel._pivoted_cholesky
     monkeypatch.setattr(kernel, "gram_matrix", recording_gram)
+    monkeypatch.setattr(kernel, "_pivoted_cholesky", recording_cholesky)
     cfg = yaml.safe_load(cli.preset_text(name))
     assert cli.execute(cfg.pop("run"), cfg, str(tmp_path)) == 0
     assert triples
@@ -131,6 +208,14 @@ def test_polar_gram_matches_dense_on_presets(name, tmp_path, monkeypatch):
         assert rule.polar is not None
         assert all(e.center == rule.polar.center for e in basis.elements)
         assert_polar_gram_matches_dense(basis, rule, weight)
+        powers = np.array([e.power for e in basis.elements])
+        nu = np.asarray(weight(rule.nodes), dtype=float)
+        assert np.array_equal(kernel._polar_gram(powers, rule.polar, nu),
+                              complex_product_polar_gram(powers, rule.polar, nu))
+    monkeypatch.setattr(kernel, "_pivoted_cholesky", pivoted_cholesky)
+    assert len(factorizations) == len(triples)
+    for a, drop_tol in factorizations:
+        assert_cholesky_matches_right_looking(a, drop_tol)
 
 
 def _aliasing_case():
@@ -161,6 +246,72 @@ def test_off_centre_basis_on_polar_rule_takes_dense_path():
     basis = monomial_basis(0.25, 12, rule.domain)
     got = gram_matrix(basis, rule, PowerWeight(1.0, 0.5)).entries
     assert np.array_equal(got, dense_gram(basis, rule, PowerWeight(1.0, 0.5)))
+
+
+@st.composite
+def vector_family_grams(draw):
+    """Unit-diagonal Gram matrix of a random complex family in C^m, as
+    orthonormalize scales it.  Some members are an exact (eps = 0) or
+    perturbed combination of earlier ones, and m < n makes the family
+    dependent outright, so both the drop path and retained small pivots
+    occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(2, 40))
+    v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    for k in draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=n // 2)):
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-4, 1e-2, 0.3]))
+        v[:, k] = v[:, :k] @ rng.standard_normal(k) + eps * v[:, k]
+    g = v.conj().T @ v
+    g = 0.5 * (g + g.conj().T)
+    d = np.sqrt(np.real(np.diag(g)))
+    return g / np.outer(d, d)
+
+
+@st.composite
+def pivot_window_grams(draw):
+    """Weakly coupled matrices whose diagonal spreads over a few factors
+    of 2, including exact ratios of 1/2, so the earliest pivot within 2x
+    of the largest often is not the largest."""
+    n = draw(st.integers(1, 12))
+    d = np.array(draw(st.lists(st.sampled_from([1.0, 0.75, 0.5, 0.49, 0.3, 0.25, 0.1]),
+                               min_size=n, max_size=n)))
+    coupling = draw(st.sampled_from([0.0, 1e-3, 3e-2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = coupling * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return np.diag(d) + np.triu(c, 1) + np.triu(c, 1).conj().T
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(a=st.one_of(vector_family_grams(), pivot_window_grams()),
+       drop_tol=st.sampled_from([1e-10, 1e-6]))
+def test_pivoted_cholesky_matches_right_looking(a, drop_tol):
+    order = assert_cholesky_matches_right_looking(a, drop_tol)
+    # the factor reproduces the retained block of the matrix
+    _, L, _ = kernel._pivoted_cholesky(a, drop_tol)
+    assert np.max(np.abs(L @ L.conj().T - a[np.ix_(order, order)])) <= 1e-12
+
+
+@pytest.mark.parametrize("a, drop_tol", [(np.zeros((3, 3)), 1e-10), (np.eye(3), 1.0)],
+                         ids=["zero matrix", "drop_tol 1"])
+def test_pivoted_cholesky_dropping_everything_raises(a, drop_tol):
+    for factor in (kernel._pivoted_cholesky, right_looking_cholesky):
+        with pytest.raises(DegenerateBasisError, match="all Gram pivots"):
+            factor(a, drop_tol)
+
+
+def test_gram_matrix_refuses_non_finite_entries():
+    with pytest.raises(DegenerateBasisError, match="non-finite"):
+        GramMatrix(entries=np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("radius, degree, norm", [(0.02, 120, "0.0"), (100.0, 100, "inf")],
+                         ids=["underflow", "overflow"])
+def test_gram_norm_out_of_range_names_the_element(radius, degree, norm):
+    rule = build_disc_quadrature(0.0, radius, 40, 160)
+    basis = monomial_basis(0.0, degree, rule.domain)
+    with pytest.raises(DegenerateBasisError, match=rf"\(z - 0j\)\^\d+\) has Gram norm {norm}"):
+        gram_matrix(basis, rule, ONE)
 
 
 def test_orthonormalize_disc_coefficients():
