@@ -38,14 +38,8 @@ from .propermaps import (
 from .transform import (
     MapRecovery,
     TransformReport,
-    adjoint_residual,
     adjoint_residual_matrix,
-    antiholomorphic_residual,
     branch_table,
-    gamma1,
-    gamma2,
-    lambda1,
-    lambda2,
     operator_bound_check,
     recover_map,
     verify_correspondence,

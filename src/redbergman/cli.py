@@ -457,9 +457,9 @@ def run_verify(cfg, run: RunDir):
         report = verify_proper(model, ev1, ev2, zs, ws)
     else:
         report = verify_correspondence(model, ev1, ev2, zs, ws)
-    for line in report.summary_lines():
-        k, v = line.split(" = ")
-        run.add(**{k: v})
+    run.add(n_samples=report.n_samples, excluded=report.excluded,
+            max_abs_residual=report.max_abs_residual,
+            max_rel_residual=report.max_rel_residual, lhs_scale=report.lhs_scale)
 
     if cfg_get(cfg, "output.csv", True):
         _write_residual_csv(run, report)
@@ -527,6 +527,9 @@ def run_recover(cfg, run: RunDir):
     d1 = build_domain(cfg, "domain")
     d2 = build_domain(cfg, "domain2")
     _require_unit_disc(d2, "recover")
+    if cfg_get(cfg, "recover.stencil", None) is not None:
+        raise ConfigError("'recover.stencil' is no longer used: the recovery "
+                          "derivative is now exact; remove the key")
     f = build_map(cfg, d1, d2)
     ev, _ = build_evaluator(cfg, "domain", "quadrature", "basis", build_weight(cfg))
     zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0))
@@ -534,7 +537,6 @@ def run_recover(cfg, run: RunDir):
         f, ev, zs,
         probe=as_complex(cfg_get(cfg, "recover.probe", 0.0), "recover.probe"),
         fallback_probe=as_complex(cfg_get(cfg, "recover.fallback", 0.1), "recover.fallback"),
-        stencil_radius=float(cfg_get(cfg, "recover.stencil", 1e-4)),
     )
     fz = f(zs)
     err = np.abs(rec.map_estimate - fz)

@@ -143,6 +143,8 @@ class RawBasis:
         return out.T.reshape(pts.shape + (len(self.elements),))
 
     def deriv_values(self, pts, order: int) -> np.ndarray:
+        if order == 0:
+            return self.values(pts)
         pts = np.asarray(pts, dtype=complex)
         return np.stack([e.deriv(pts, order) for e in self.elements], axis=-1)
 

@@ -259,14 +259,15 @@ class KernelEvaluator:
         pw = self.onb.phi_values(np.atleast_1d(np.asarray(ws, dtype=complex)))
         return pz @ pw.conj().T
 
-    def eval_kernel_dbar(self, z, w, beta: int) -> complex:
-        """beta-th derivative in conj(w): sum_k phi_k(z) conj(phi_k^(beta)(w)).
-        Analytic differentiation of the conjugated factor."""
+    def eval_kernel_dbar(self, zs, ws, beta: int) -> np.ndarray:
+        """(len(zs), len(ws)) matrix of the beta-th derivative in conj(w),
+        sum_k phi_k(z) conj(phi_k^(beta)(w)), by analytic differentiation
+        of the conjugated factor."""
         if beta < 0:
             raise ValueError("derivative order must be >= 0")
-        pz = self.onb.phi_values(np.asarray(z, dtype=complex))
-        pw = self.onb.phi_deriv_values(np.asarray(w, dtype=complex), beta)
-        return complex(np.sum(pz * pw.conj(), axis=-1))
+        pz = self.onb.phi_values(np.atleast_1d(np.asarray(zs, dtype=complex)))
+        pw = self.onb.phi_deriv_values(np.atleast_1d(np.asarray(ws, dtype=complex)), beta)
+        return pz @ pw.conj().T
 
     def diagonal(self, z) -> float:
         """K(z, z), always > 0 for points the basis sees."""

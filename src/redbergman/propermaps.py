@@ -59,19 +59,14 @@ _FAILURES = {
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Branch points and branch derivatives.
-
-    For a scalar query ``points`` and ``derivatives`` have shape (k,).
-    For n queries they have shape (n, k) and ``reason`` holds one code
-    per query; rows whose reason is not OK are NaN.
+    """Branch points and branch derivatives of n queries, each of shape
+    (n, k); ``reason`` holds one code per query, and rows whose reason
+    is not OK are NaN.
     """
 
     points: np.ndarray
     derivatives: np.ndarray
     reason: np.ndarray
-
-    def __len__(self):
-        return len(self.points)
 
     @property
     def ok(self) -> np.ndarray:
@@ -81,15 +76,16 @@ class BranchSet:
         """Raise the error matching the first query whose reason is not OK."""
         bad = np.flatnonzero(self.reason != OK)
         if bad.size:
-            error, what = _FAILURES[int(np.ravel(self.reason)[bad[0]])]
-            raise error(f"query {complex(np.ravel(queries)[bad[0]])} {what}")
+            error, what = _FAILURES[int(self.reason[bad[0]])]
+            raise error(f"query {complex(queries[bad[0]])} {what}")
 
 
 def far_from(points, bad, radius) -> np.ndarray:
-    """Mask of the points farther than ``radius`` from every point of ``bad``."""
+    """Mask of the points farther than ``radius`` from every point of
+    ``bad``; a non-finite point counts as far, so the solver rejects it."""
     if bad.size == 0:
         return np.ones(len(points), dtype=bool)
-    return np.min(np.abs(points[:, None] - bad[None, :]), axis=1) > radius
+    return ~(np.min(np.abs(points[:, None] - bad[None, :]), axis=1) <= radius)
 
 
 def _distinct(points) -> np.ndarray:
@@ -144,16 +140,11 @@ def _solve_branches(coeffs, axis, x, domain, near_set, near_reason, derivative,
 
     Queries within NEAR_CRITICAL_RADIUS of ``near_set`` get
     ``near_reason``; with ``min_gap`` > 0, fibres with two roots closer
-    than it get SINGULAR_LOCUS.  A scalar query returns one branch set
-    and raises the error matching its reason instead.
+    than it get SINGULAR_LOCUS.
     """
-    if np.ndim(x) == 0:
-        require_finite(x)
-        table = _solve_branches(coeffs, axis, np.array([x]), domain, near_set,
-                                near_reason, derivative, min_gap)
-        table.require_ok(x)
-        return BranchSet(table.points[0], table.derivatives[0], table.reason[0])
     x = np.asarray(x, dtype=complex)
+    if x.ndim != 1:
+        raise ValueError(f"branch queries must be a 1-D array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite query point")
     c = coeffs if axis == 0 else coeffs.T
@@ -199,6 +190,9 @@ class ProperMap:
         self.graph[:len(denom), 1] = -denom
         self._dnumer = P.polysub(P.polymul(P.polyder(numer), denom),
                                  P.polymul(numer, P.polyder(denom)))
+        # f'' = (dnumer' denom - 2 dnumer denom') / denom^3
+        self._d2numer = P.polysub(P.polymul(P.polyder(self._dnumer), denom),
+                                  2.0 * P.polymul(self._dnumer, P.polyder(denom)))
         # singular sets of the graph: the single forward branch never
         # collides; the backward ones collide over the critical values
         self.v1 = np.array([], dtype=complex)
@@ -212,6 +206,10 @@ class ProperMap:
         z = np.asarray(z, dtype=complex)
         return P.polyval(z, self._dnumer) / P.polyval(z, self._denom) ** 2
 
+    def deriv2(self, z):
+        z = np.asarray(z, dtype=complex)
+        return P.polyval(z, self._d2numer) / P.polyval(z, self._denom) ** 3
+
     def critical_points(self) -> np.ndarray:
         """Zeros of the f' numerator inside the source; a multiple zero stays
         the cluster of roots the solver returns (their images are deduplicated)."""
@@ -224,7 +222,7 @@ class ProperMap:
 
     def local_inverses(self, w) -> BranchSet:
         """All multiplicity-many solutions of f(z) = w in the source,
-        with derivatives 1/f'.  Accepts a scalar or an array of w."""
+        with derivatives 1/f', over an array of w."""
         return _solve_branches(self.graph, 1, w, self.source, self.v2,
                                NEAR_CRITICAL, lambda w0, z: 1.0 / self.deriv(z))
 
@@ -409,15 +407,15 @@ class CorrespondenceModel:
         return _distinct(pts[domain.contains(pts)] if pts.size else pts)
 
     def forward_branches(self, z) -> BranchSet:
-        """Roots w of Q(z, .) in d2 with derivatives -Q_z/Q_w.  Accepts a
-        scalar or an array of z."""
+        """Roots w of Q(z, .) in d2 with derivatives -Q_z/Q_w, over an
+        array of z."""
         return _solve_branches(self.coeffs, 0, z, self.d2, self.v1, SINGULAR_LOCUS,
                                lambda z0, w: -self.qz(z0, w) / self.qw(z0, w),
                                MULTIPLE_ROOT_GAP)
 
     def backward_branches(self, w) -> BranchSet:
-        """Roots z of Q(., w) in d1 with derivatives -Q_w/Q_z.  Accepts a
-        scalar or an array of w."""
+        """Roots z of Q(., w) in d1 with derivatives -Q_w/Q_z, over an
+        array of w."""
         return _solve_branches(self.coeffs, 1, w, self.d1, self.v2, SINGULAR_LOCUS,
                                lambda w0, z: -self.qw(z, w0) / self.qz(z, w0),
                                MULTIPLE_ROOT_GAP)

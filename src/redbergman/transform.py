@@ -1,22 +1,27 @@
-"""Push-pull operators and transformation-formula verification.
+"""Transformation-formula verification through batched branch sums.
 
-The two operator families are the derivative-weighted branch sums
-    gamma1(u)(z) = sum_i f_i'(z) u(f_i(z)),   gamma2(v)(w) = sum_j F_j'(w) v(F_j(w))
-for correspondences, and
-    lambda1(u)(z) = f'(z) u(f(z)),            lambda2(v)(w) = sum_k F_k'(w) v(F_k(w))
-for proper maps.  They are adjoint between the two domains' weighted
-inner products, and the kernels transform through them; the verify_*
-sweeps measure the residual of those exact identities over sample
-grids, where all remaining error is discretization.
+Every operator here is a derivative-weighted branch sum: for a
+correspondence with forward branches f_i and backward branches F_j,
+    sum_i f_i'(z) u(f_i(z))   and   sum_j F_j'(w) v(F_j(w)),
+and for a proper map f (solved as its graph) the single forward branch
+f and the local inverses F_k.  ``branch_table`` solves all branches of a
+query array at once, so the sums over many functions and points share
+one solve.  The adjointness and operator-bound checks, the verify
+sweeps and the map recovery are built on those tables; they measure the
+residuals of exact identities, where all remaining error is
+discretization.
 
-Branch sums are evaluated away from the singular sets (critical values,
-discriminant loci); excluded samples are counted, never silently
-dropped.
+Sweeps exclude the samples within GRID_EXCLUSION of the singular sets
+(critical values, discriminant loci) and count them; a query outside
+those zones whose branches cannot be resolved raises its error.  Map
+recovery differentiates the kernel branch sum exactly in conj(w), from
+the analytic kernel derivative and the second derivatives of the local
+inverses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +33,12 @@ from .propermaps import CorrespondenceModel, ProperMap, far_from
 __all__ = [
     "TransformReport",
     "MapRecovery",
-    "gamma1",
-    "gamma2",
-    "lambda1",
-    "lambda2",
     "branch_table",
-    "adjoint_residual",
     "adjoint_residual_matrix",
     "operator_bound_check",
     "verify_proper",
     "verify_correspondence",
     "recover_map",
-    "antiholomorphic_residual",
 ]
 
 GRID_EXCLUSION = 1e-6
@@ -52,7 +51,7 @@ class TransformReport:
     """Per-sample record of one verification sweep and its statistics.
 
     ``lhs``/``rhs`` have shape (len(z), len(w)); ``kept`` marks the
-    samples outside every exclusion, and the other entries are NaN.
+    samples outside every exclusion zone, and the other entries are NaN.
     ``max_rel_residual`` normalizes each sample by |LHS| but falls back
     to the absolute residual where |LHS| < 1e-10 (identity checks near
     kernel zeros would otherwise divide noise by noise).
@@ -68,41 +67,10 @@ class TransformReport:
     lhs: np.ndarray
     rhs: np.ndarray
     kept: np.ndarray
-    config: dict = field(default_factory=dict)
-
-    def summary_lines(self):
-        yield f"n_samples = {self.n_samples}"
-        yield f"excluded = {self.excluded}"
-        yield f"max_abs_residual = {self.max_abs_residual:.17g}"
-        yield f"max_rel_residual = {self.max_rel_residual:.17g}"
-        yield f"lhs_scale = {self.lhs_scale:.17g}"
 
 
 # ---------------------------------------------------------------------------
-# operators
-
-def gamma1(corr: CorrespondenceModel, u, z) -> complex:
-    """Forward pull sum_i f_i'(z) u(f_i(z))."""
-    b = corr.forward_branches(z)
-    return complex(np.sum(b.derivatives * u(b.points)))
-
-
-def gamma2(corr: CorrespondenceModel, v, w) -> complex:
-    """Backward pull sum_j F_j'(w) v(F_j(w))."""
-    b = corr.backward_branches(w)
-    return complex(np.sum(b.derivatives * v(b.points)))
-
-
-def lambda1(f: ProperMap, u, z) -> complex:
-    """f'(z) * u(f(z))."""
-    return complex(f.deriv(z) * u(f(z)))
-
-
-def lambda2(f: ProperMap, v, w) -> complex:
-    """sum_k F_k'(w) v(F_k(w)) over the local inverses of f."""
-    b = f.local_inverses(w)
-    return complex(np.sum(b.derivatives * v(b.points)))
-
+# branch sums
 
 def branch_table(model, points, forward: bool):
     """Branch points and derivatives over many query points at once.
@@ -128,9 +96,10 @@ def adjoint_residual_matrix(model, us, vs, rule1, rule2,
                             backward=None) -> np.ndarray:
     """Residuals |<op1 u, v>_1 - <u, op2 v>_2| for all (u, v) pairs.
 
-    For correspondences the operators are gamma1/gamma2 and the inner
-    products are unweighted.  For proper maps they are lambda1/lambda2
-    with <.,.>_{nu o f} on the source and <.,.>_nu on the target; pass
+    op1 u = sum_i f_i' u(f_i) is the forward and op2 v = sum_j F_j' v(F_j)
+    the backward branch sum.  For correspondences the inner products are
+    unweighted.  For proper maps (op1 u = f' u(f)) they are
+    <.,.>_{nu o f} on the source and <.,.>_nu on the target; pass
     ``weight`` as nu (None means nu = 1) for maps only.  Branch solving
     is shared across all functions; pass ``backward`` to reuse a solved
     ``branch_table(model, rule2.nodes, forward=False)``.
@@ -154,15 +123,10 @@ def adjoint_residual_matrix(model, us, vs, rule1, rule2,
     return np.abs(lhs - rhs)
 
 
-def adjoint_residual(model, u, v, rule1, rule2, weight: WeightFn | None = None) -> float:
-    """|<op1 u, v>_1 - <u, op2 v>_2| for one function pair."""
-    return float(adjoint_residual_matrix(model, [u], [v], rule1, rule2, weight)[0, 0])
-
-
 def operator_bound_check(corr: CorrespondenceModel, v, rule1, rule2, backward=None):
-    """Both sides of <gamma2 v, gamma2 v>_2 <= p*q*<v, v>_1 by
-    quadrature; the caller asserts lhs <= rhs*(1 + 1e-6).  ``backward``
-    as in adjoint_residual_matrix."""
+    """Both sides of <op2 v, op2 v>_2 <= p*q*<v, v>_1 by quadrature, op2
+    the backward branch sum; the caller asserts lhs <= rhs*(1 + 1e-6).
+    ``backward`` as in adjoint_residual_matrix."""
     if backward is None:
         backward = branch_table(corr, rule2.nodes, forward=False)
     bpts, bder = backward
@@ -176,35 +140,30 @@ def operator_bound_check(corr: CorrespondenceModel, v, rule1, rule2, backward=No
 # transformation-formula sweeps
 
 def verify_proper(f: ProperMap, ev1: KernelEvaluator, ev2: KernelEvaluator,
-                  z_grid, w_grid, exclusion: float = GRID_EXCLUSION,
-                  config: dict | None = None) -> TransformReport:
+                  z_grid, w_grid) -> TransformReport:
     """Residuals of f'(z) K2(f(z), w) = sum_k K1(z, F_k(w)) conj(F_k'(w))
     over the grid product; ev1 lives on the source, ev2 on the target.
     For weighted kernels ev2 carries a weight nu and ev1 its pull-back
     nu o f (``pullback_weight``)."""
-    return verify_correspondence(f, ev1, ev2, z_grid, w_grid, exclusion, config)
+    return verify_correspondence(f, ev1, ev2, z_grid, w_grid)
 
 
 def verify_correspondence(corr: CorrespondenceModel | ProperMap, ev1: KernelEvaluator,
-                          ev2: KernelEvaluator, z_grid, w_grid,
-                          exclusion: float = GRID_EXCLUSION,
-                          config: dict | None = None) -> TransformReport:
+                          ev2: KernelEvaluator, z_grid, w_grid) -> TransformReport:
     """Residuals of sum_i f_i'(z) K2(f_i(z), w) = sum_j K1(z, F_j(w)) conj(F_j'(w))
     over the grid product; a proper map is swept as its graph.  Samples
-    within ``exclusion`` of the singular sets, or whose branches cannot
-    be resolved, are excluded."""
+    within GRID_EXCLUSION of the singular sets are excluded; any other
+    query whose branches cannot be resolved raises its error."""
     zs = np.asarray(z_grid, dtype=complex)
     ws = np.asarray(w_grid, dtype=complex)
-    fwd = corr.branches(zs, forward=True)
-    bwd = corr.branches(ws, forward=False)
-    kz = far_from(zs, corr.v1, exclusion) & fwd.ok
-    kw = far_from(ws, corr.v2, exclusion) & bwd.ok
+    kz = far_from(zs, corr.v1, GRID_EXCLUSION)
+    kw = far_from(ws, corr.v2, GRID_EXCLUSION)
+    fp, fd = branch_table(corr, zs[kz], forward=True)       # (nz, p)
+    bp, bd = branch_table(corr, ws[kw], forward=False)      # (nw, q)
     kept = kz[:, None] & kw[None, :]
     lhs = np.full(kept.shape, np.nan, dtype=complex)
     rhs = np.full(kept.shape, np.nan, dtype=complex)
     if kept.any():
-        fp, fd = fwd.points[kz], fwd.derivatives[kz]        # (nz, p)
-        bp, bd = bwd.points[kw], bwd.derivatives[kw]        # (nw, q)
         nz, nw = len(fp), len(bp)
         k2 = ev2.eval_kernel_grid(fp.ravel(), ws[kw]).reshape(nz, -1, nw)
         if fd.shape[1] == 1:
@@ -225,7 +184,7 @@ def verify_correspondence(corr: CorrespondenceModel | ProperMap, ev1: KernelEval
         max_abs_residual=float(np.max(absres)) if absres.size else 0.0,
         max_rel_residual=float(np.max(rel)) if rel.size else 0.0,
         lhs_scale=float(np.max(lhs_mag)) if lhs_mag.size else 0.0,
-        z=zs, w=ws, lhs=lhs, rhs=rhs, kept=kept, config=dict(config or {}),
+        z=zs, w=ws, lhs=lhs, rhs=rhs, kept=kept,
     )
 
 
@@ -256,13 +215,15 @@ class MapRecovery:
 
 
 def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
-                fallback_probe=0.1, stencil_radius: float = 1e-4) -> MapRecovery:
+                fallback_probe=0.1) -> MapRecovery:
     """Recover f from the source kernel via the transformation formula.
 
-    Evaluates g0(z) = sum_k K(z, F_k(w0)) conj(F_k'(w0)) and the
-    derivative g1 = d/d(conj(w)) of that branch sum at w0 (4-point
-    complex stencil), then forms g1/(2*g0).  The target must be the
-    unit disc.  If the probe hits a critical value it moves to
+    Evaluates g0(z) = sum_k K(z, F_k(w0)) conj(F_k'(w0)) and its exact
+    derivative in conj(w) at w0,
+        g1(z) = sum_k dK(z, F_k) conj(F_k')^2 + K(z, F_k) conj(F_k''),
+    where dK is the analytic conj-slot kernel derivative and
+    F_k'' = -f''(F_k) F_k'^3, then forms g1/(2*g0).  The target must be
+    the unit disc.  If the probe hits a critical value it moves to
     fallback_probe.
     """
     zs = np.asarray(z_grid, dtype=complex)
@@ -277,15 +238,11 @@ def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
                 f"both probe {probe} and fallback {fallback_probe} sit near critical values"
             )
 
-    h = stencil_radius
-    probes = np.array([w0, w0 + h, w0 - h, w0 + 1j * h, w0 - 1j * h])
-    table = f.local_inverses(probes)
-    table.require_ok(probes)
-    g0, xp, xm, yp, ym = (ev.eval_kernel_grid(zs, pts) @ der.conj()
-                          for pts, der in zip(table.points, table.derivatives))
-    dx = (xp - xm) / (2.0 * h)
-    dy = (yp - ym) / (2.0 * h)
-    g1 = 0.5 * (dx + 1j * dy)
+    pts, der = (a[0] for a in branch_table(f, [w0], forward=False))
+    der2 = -f.deriv2(pts) * der ** 3
+    k = ev.eval_kernel_grid(zs, pts)
+    g0 = k @ der.conj()
+    g1 = ev.eval_kernel_dbar(zs, pts, 1) @ (der ** 2).conj() + k @ der2.conj()
 
     valid = np.abs(g0) >= 1e-12
     ratio = np.full(zs.shape, np.nan + 0j)
@@ -299,15 +256,3 @@ def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
         excluded=int(np.sum(~valid)),
     )
 
-
-def antiholomorphic_residual(fun, w, h: float = 1e-4):
-    """(|d/dw fun|, |d/d(conj w) fun|) at w by 4-point complex stencils.
-
-    Anti-holomorphic functions of w have vanishing first component; the
-    second provides the comparison scale.
-    """
-    fx = (fun(w + h) - fun(w - h)) / (2.0 * h)
-    fy = (fun(w + 1j * h) - fun(w - 1j * h)) / (2.0 * h)
-    d_w = 0.5 * (fx - 1j * fy)
-    d_wbar = 0.5 * (fx + 1j * fy)
-    return abs(d_w), abs(d_wbar)

@@ -10,6 +10,7 @@ from redbergman import (
     Disc,
     KernelEvaluator,
     PowerWeight,
+    branch_table,
     build_annulus_quadrature,
     build_disc_quadrature,
     laurent_basis,
@@ -35,6 +36,13 @@ def corr_from_terms(terms, d1=DISC, d2=DISC):
 W2_MINUS_Z = corr_from_terms([(0, 2, 1.0), (1, 0, -1.0)])      # w^2 - z
 W2_MINUS_Z2 = corr_from_terms([(0, 2, 1.0), (2, 0, -1.0)])     # w^2 - z^2
 W_MINUS_Z = corr_from_terms([(0, 1, 1.0), (1, 0, -1.0)])       # identity
+
+
+def branches_at(model, x, forward):
+    """Branch points and derivatives of the single query x, as 1-D rows;
+    raises the error of an unresolved query."""
+    pts, der = branch_table(model, [x], forward)
+    return pts[0], der[0]
 
 
 @lru_cache(maxsize=None)

@@ -97,9 +97,9 @@ def check_map(f):
     far = far_from(w[:, 0], crit, 1e-4)
     want = implicit_derivative(f.graph, pts[far], w[far])
     assert np.max(np.abs(der[far] / want - 1.0)) <= 1e-10
-    # scalar queries return the matching row
-    b = f.local_inverses(complex(w[0, 0]))
-    assert np.array_equal(b.points, pts[0]) and np.array_equal(b.derivatives, der[0])
+    # a single-query array returns the matching row
+    b = f.local_inverses(w[:1, 0])
+    assert np.array_equal(b.points[0], pts[0]) and np.array_equal(b.derivatives[0], der[0])
     if crit.size:
         assert not np.any(f.local_inverses(near_points(crit)).ok)
 

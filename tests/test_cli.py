@@ -315,6 +315,36 @@ def test_residual_csv_rows_are_the_summary_samples(tmp_path):
     assert max(float(r.split(",")[4]) for r in rows) == float(fields["max_abs_residual"])
 
 
+def test_branch_failure_outside_the_exclusions_is_a_numerical_failure(tmp_path):
+    # Q = w^2 - 4 z^2: for |z| > 1/2 the branches w = +-2z leave the unit
+    # disc, far from the singular set {0}, so the sweep reports the failure
+    # instead of counting those samples as excluded
+    cfg_dict = {
+        "run": "verify", "seed": 0, "tolerance": 1e-6,
+        "domain": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+        "domain2": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+        "quadrature": {"n_radial": 20, "n_angular": 60},
+        "quadrature2": {"n_radial": 20, "n_angular": 60},
+        "basis": {"type": "monomial", "degree": 15, "reduced": True},
+        "basis2": {"type": "monomial", "degree": 15, "reduced": True},
+        "weight": {"type": "constant"},
+        "correspondence": {"terms": [[0, 2, 1.0], [2, 0, -4.0]]},
+        "grid": {"z": {"kind": "cartesian", "rmax": 0.7, "n": 7},
+                 "w": {"kind": "cartesian", "rmax": 0.5, "n": 5}},
+    }
+    cfg = write_cfg(tmp_path, yaml.safe_dump(cfg_dict))
+    assert run_cli(tmp_path, "verify", cfg) == 3
+    summary = (only_run_dir(tmp_path, "verify-") / "summary.txt").read_text()
+    assert "status = error" in summary
+    assert "BranchCountError" in summary
+
+
+def test_recover_rejects_the_stencil_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, preset_text("recover_blaschke"))
+    assert run_cli(tmp_path, "recover", cfg, "--set", "recover.stencil=1.0e-4") == 2
+    assert "recover.stencil" in capsys.readouterr().err
+
+
 def test_adjoint_honours_drop_tol(tmp_path, monkeypatch):
     from redbergman import cli
 

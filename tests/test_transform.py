@@ -1,4 +1,4 @@
-"""Push-pull operators, adjointness, transformation residuals, recovery."""
+"""Branch sums, adjointness, transformation residuals, recovery."""
 
 import math
 
@@ -11,15 +11,11 @@ from redbergman import (
     ConstantWeight,
     PowerMap,
     PowerWeight,
-    adjoint_residual,
+    adjoint_residual_matrix,
     annulus_grid,
-    antiholomorphic_residual,
+    branch_table,
     build_disc_quadrature,
     disc_grid,
-    gamma1,
-    gamma2,
-    lambda1,
-    lambda2,
     monomial_basis,
     operator_bound_check,
     orthonormalize,
@@ -32,54 +28,65 @@ from redbergman import (
 ONE = ConstantWeight()
 
 
+def branch_sum(model, func, points, forward):
+    """sum_k d_k func(p_k) over the branches (p_k, d_k) of each query."""
+    pts, der = branch_table(model, points, forward)
+    return np.sum(der * func(pts), axis=1)
+
+
+def pair_residual(model, u, v, rule1, rule2):
+    """|<op1 u, v>_1 - <u, op2 v>_2| for one function pair."""
+    return float(adjoint_residual_matrix(model, [u], [v], rule1, rule2)[0, 0])
+
+
 # ---------------------------------------------------------------------------
-# operators
+# branch sums
 
 def test_gamma_identity_correspondence():
     u = lambda z: np.exp(z)
-    z = 0.3 + 0.2j
-    assert gamma1(W_MINUS_Z, u, z) == pytest.approx(u(z))
-    assert gamma2(W_MINUS_Z, u, z) == pytest.approx(u(z))
+    z = np.array([0.3 + 0.2j])
+    assert branch_sum(W_MINUS_Z, u, z, True)[0] == pytest.approx(u(z[0]))
+    assert branch_sum(W_MINUS_Z, u, z, False)[0] == pytest.approx(u(z[0]))
 
 
 def test_gamma1_derivative_cancellation():
     # branches +-sqrt(z) carry opposite derivatives, so constants map to 0
-    for z in (0.3, 0.5 - 0.2j, 0.04j):
-        assert abs(gamma1(W2_MINUS_Z, lambda w: np.ones_like(w), z)) < 1e-10
+    zs = np.array([0.3, 0.5 - 0.2j, 0.04j])
+    assert np.max(np.abs(branch_sum(W2_MINUS_Z, np.ones_like, zs, True))) < 1e-10
 
 
 def test_gamma2_sqrt_correspondence():
-    for w in (0.4, 0.3 + 0.3j):
-        got = gamma2(W2_MINUS_Z, lambda z: z, w)
-        assert got == pytest.approx(2.0 * w**3, abs=1e-12)
+    ws = np.array([0.4, 0.3 + 0.3j])
+    got = branch_sum(W2_MINUS_Z, lambda z: z, ws, False)
+    assert got == pytest.approx(2.0 * ws**3, abs=1e-12)
 
 
 def test_lambda_operators():
     f = PowerMap(2)
     z = 0.37 - 0.11j
-    assert lambda1(f, lambda w: np.ones_like(w), z) == pytest.approx(2.0 * z)
+    assert branch_sum(f, np.ones_like, [z], True)[0] == pytest.approx(2.0 * z)
 
-    # lambda2(z^2) vanishes: the branch contributions cancel; the
-    # derivative of the summed primitives is the independent oracle
+    # the backward sum of z^2 vanishes: the branch contributions cancel;
+    # the derivative of the summed primitives is the independent oracle
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        w = 0.05 + 0.8 * rng.random() * np.exp(2j * np.pi * rng.random())
-        got = lambda2(f, lambda s: s**2, w)
-        h = 1e-6
+    ws = np.array([0.05 + 0.8 * rng.random() * np.exp(2j * np.pi * rng.random())
+                   for _ in range(10)])
+    got = branch_sum(f, lambda s: s**2, ws, False)
+    h = 1e-6
 
-        def primitive_sum(ww):
-            b = f.local_inverses(ww)
-            return np.sum(b.points**3) / 3.0
+    def primitive_sum(ww):
+        pts, _ = branch_table(f, ww, forward=False)
+        return np.sum(pts**3, axis=1) / 3.0
 
-        fd = (primitive_sum(w + h) - primitive_sum(w - h)) / (2 * h)
-        assert abs(got - fd) < 1e-8
-        assert abs(got) < 1e-10
+    fd = (primitive_sum(ws + h) - primitive_sum(ws - h)) / (2 * h)
+    assert np.max(np.abs(got - fd)) < 1e-8
+    assert np.max(np.abs(got)) < 1e-10
 
     ident = PowerMap(1)
     for g in (lambda s: s, lambda s: np.exp(s)):
         w = 0.25 + 0.3j
-        assert lambda1(ident, g, w) == pytest.approx(g(w))
-        assert lambda2(ident, g, w) == pytest.approx(g(w))
+        assert branch_sum(ident, g, [w], True)[0] == pytest.approx(g(w))
+        assert branch_sum(ident, g, [w], False)[0] == pytest.approx(g(w))
 
 
 # ---------------------------------------------------------------------------
@@ -87,26 +94,23 @@ def test_lambda_operators():
 
 def test_adjoint_identity_map_exact():
     rule = build_disc_quadrature(0.0, 1.0, 20, 40)
-    res = adjoint_residual(PowerMap(1), lambda w: w, lambda z: z**2, rule, rule)
+    res = pair_residual(PowerMap(1), lambda w: w, lambda z: z**2, rule, rule)
     assert res < 1e-10
 
 
 def test_adjoint_power2_unweighted():
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
-    res = adjoint_residual(PowerMap(2), lambda w: w, lambda z: z**2, rule, rule)
+    res = pair_residual(PowerMap(2), lambda w: w, lambda z: z**2, rule, rule)
     assert res < 1e-7
 
 
 def test_adjoint_correspondence():
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
-    res = adjoint_residual(W2_MINUS_Z2, lambda w: np.ones_like(w), lambda z: z,
-                           rule, rule)
+    res = pair_residual(W2_MINUS_Z2, lambda w: np.ones_like(w), lambda z: z, rule, rule)
     assert res < 1e-7
 
 
 def test_adjoint_orthonormal_pairs_gamma_and_lambda():
-    from redbergman import adjoint_residual_matrix
-
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
     onb = orthonormalize(monomial_basis(0.0, 8, rule.domain), rule, ONE)
     funcs = [onb.phi_function(k) for k in range(5)]
@@ -338,8 +342,8 @@ def test_recover_with_explicit_regular_probe():
     rec = recover_map(f, ev, grid, probe=0.2)
     assert not rec.probe_shifted
     fz = f(grid)
-    assert np.max(np.abs(rec.ratio_half - fz / (1.0 - fz * np.conj(0.2)))) < 1e-4
-    assert np.max(np.abs(rec.map_estimate - fz)) < 1e-4
+    assert np.max(np.abs(rec.ratio_half - fz / (1.0 - fz * np.conj(0.2)))) < 1e-11
+    assert np.max(np.abs(rec.map_estimate - fz)) < 1e-11
 
 
 def test_both_sides_antiholomorphic_in_w():
@@ -347,16 +351,23 @@ def test_both_sides_antiholomorphic_in_w():
     f = PowerMap(2)
     z0 = 0.4 + 0.2j
 
+    def wirtinger_parts(fun, w, h=1e-4):
+        """(|d/dw fun|, |d/d(conj w) fun|) at w by 4-point complex stencils;
+        an anti-holomorphic fun has a vanishing first part."""
+        fx = (fun(w + h) - fun(w - h)) / (2.0 * h)
+        fy = (fun(w + 1j * h) - fun(w - 1j * h)) / (2.0 * h)
+        return abs(0.5 * (fx - 1j * fy)), abs(0.5 * (fx + 1j * fy))
+
     def lhs(w):
         return f.deriv(z0) * ev.eval_kernel(f(z0), w)
 
     def rhs(w):
-        b = f.local_inverses(w)
-        return (ev.eval_kernel_grid([z0], b.points) @ b.derivatives.conj()).item()
+        pts, der = branch_table(f, [w], forward=False)
+        return (ev.eval_kernel_grid([z0], pts[0]) @ der[0].conj()).item()
 
     for w in (0.3 + 0.1j, -0.2 + 0.25j):
         for side in (lhs, rhs):
-            d_w, d_wbar = antiholomorphic_residual(side, w)
+            d_w, d_wbar = wirtinger_parts(side, w)
             assert d_w <= 1e-5 * max(d_wbar, 1e-12)
 
 
@@ -369,6 +380,13 @@ def test_excluded_samples_are_counted():
     assert report.n_samples == 3 * len(zg)
 
 
+def test_non_finite_grid_point_is_rejected():
+    # NaN is not "near" the singular set {0}, so it reaches the solver
+    ev = disc_evaluator(20, 24, 64)
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_correspondence(W2_MINUS_Z, ev, ev, np.array([np.nan, 0.3]), np.array([0.2]))
+
+
 # ---------------------------------------------------------------------------
 # map recovery
 
@@ -378,7 +396,7 @@ def test_recover_identity_map():
     rec = recover_map(PowerMap(1), ev, grid)
     assert not rec.probe_shifted
     assert rec.excluded == 0
-    assert np.max(np.abs(rec.ratio_half - grid)) < 1e-8
+    assert np.max(np.abs(rec.ratio_half - grid)) < 1e-11
 
 
 def test_recover_blaschke_product():
@@ -387,7 +405,7 @@ def test_recover_blaschke_product():
     grid = disc_grid(0.6, 11)
     rec = recover_map(f, ev, grid)
     assert not rec.probe_shifted
-    assert np.max(np.abs(rec.ratio_half - f(grid))) < 1e-4
+    assert np.max(np.abs(rec.ratio_half - f(grid))) < 1e-10
 
 
 def test_recover_power2_probe_shifts():
@@ -403,5 +421,5 @@ def test_recover_power2_probe_shifts():
     fz = f(grid)
     shifted_identity = fz / (1.0 - fz * np.conj(rec.probe))
     ok = rec.valid
-    assert np.max(np.abs(rec.ratio_half[ok] - shifted_identity[ok])) < 1e-4
-    assert np.max(np.abs(rec.map_estimate[ok] - fz[ok])) < 1e-4
+    assert np.max(np.abs(rec.ratio_half[ok] - shifted_identity[ok])) < 1e-11
+    assert np.max(np.abs(rec.map_estimate[ok] - fz[ok])) < 1e-11
