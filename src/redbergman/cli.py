@@ -381,7 +381,7 @@ def _run_checks(cfg, ev, zs, run):
         elif name == "reproduce_basis":
             zeta = complex(sample[len(sample) // 2])
             m = min(5, ev.onb.retained_count)
-            got = ev.reproduce(ev._node_phi[:, :m], zeta)
+            got = ev.reproduce(ev.node_phi_columns(m), zeta)
             want = ev.onb.phi_values(np.asarray(zeta))[:m]
             res = float(np.max(np.abs(got - want)))
         elif name == "self_reproduction":

@@ -120,33 +120,49 @@ class RawBasis:
         return len(self.elements)
 
     def values(self, pts) -> np.ndarray:
-        """(npts, n_elements) matrix of element values.
-
-        An element that is the next non-negative power of the element
-        before it (same centre) is that column times (z - c): cumulative
-        products are cheaper and more accurate than complex ``**``.
-        Every other element is evaluated on its own.
-        """
-        pts = np.asarray(pts, dtype=complex)
-        flat = pts.reshape(-1)
-        out = np.empty((len(self.elements), flat.size), dtype=complex)
-        prev = None
-        for row, e in zip(out, self.elements):
-            same_center = prev is not None and e.center == prev.center
-            if not same_center:
-                shift = flat - e.center
-            if same_center and prev.power >= 0 and e.power == prev.power + 1:
-                np.multiply(prev_row, shift, out=row)
-            else:
-                row[:] = e.eval(flat)
-            prev, prev_row = e, row
-        return out.T.reshape(pts.shape + (len(self.elements),))
+        """(npts, n_elements) matrix of element values."""
+        return _power_columns(pts, [(e.power, e.center) for e in self.elements])
 
     def deriv_values(self, pts, order: int) -> np.ndarray:
+        """(npts, n_elements) matrix of order-th derivatives: the falling
+        factorial n (n - 1) ... (n - order + 1) times (z - c)^(n - order),
+        zero for 0 <= n < order (a zero coefficient on a unit power)."""
+        if order < 0:
+            raise ValueError("derivative order must be >= 0")
         if order == 0:
             return self.values(pts)
-        pts = np.asarray(pts, dtype=complex)
-        return np.stack([e.deriv(pts, order) for e in self.elements], axis=-1)
+        terms = [(0 if 0 <= e.power < order else e.power - order, e.center)
+                 for e in self.elements]
+        coeffs = np.array([math.prod(range(e.power - order + 1, e.power + 1))
+                           for e in self.elements], dtype=float)
+        out = _power_columns(pts, terms)
+        out *= coeffs
+        return out
+
+
+def _power_columns(pts, terms) -> np.ndarray:
+    """(npts, len(terms)) matrix whose column k is (z - c)^n for
+    terms[k] = (n, c).
+
+    A term that is the next non-negative power of the term before it
+    (same centre) is that column times (z - c): cumulative products are
+    cheaper and more accurate than complex ``**``.  Every other term is
+    evaluated on its own.
+    """
+    pts = np.asarray(pts, dtype=complex)
+    flat = pts.reshape(-1)
+    out = np.empty((len(terms), flat.size), dtype=complex)
+    prev = None
+    for row, (n, c) in zip(out, terms):
+        same_center = prev is not None and c == prev[1]
+        if not same_center:
+            shift = flat - c
+        if same_center and prev[0] >= 0 and n == prev[0] + 1:
+            np.multiply(prev_row, shift, out=row)
+        else:
+            row[:] = shift ** n
+        prev, prev_row = (n, c), row
+    return out.T.reshape(pts.shape + (len(terms),))
 
 
 def monomial_basis(center, degree: int, domain: Optional[PlanarDomain] = None) -> RawBasis:

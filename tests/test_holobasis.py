@@ -50,6 +50,25 @@ def test_derivatives_match_finite_differences():
             assert np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-12)) < 1e-6
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_values_match_extended_precision(order):
+    rng = np.random.default_rng(11)
+    pts = 0.95 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+    got = monomial_basis(0.0, 60, DISC).deriv_values(pts, order)
+    # n (n-1) ... (n-order+1) z^(n-order), powers by repeated long-double products
+    z = pts.astype(np.clongdouble)
+    power = np.ones_like(z)
+    want = np.zeros((len(pts), 61), dtype=np.clongdouble)
+    for k in range(61 - order):
+        n = k + order
+        want[:, n] = np.prod(np.arange(k + 1, n + 1, dtype=np.longdouble)) * power
+        power = power * z
+    assert np.array_equal(got[:, :order], np.zeros((len(pts), order)))
+    rel = np.abs(got[:, order:] - want[:, order:]) / np.abs(want[:, order:])
+    # cumulative products measure 1.4e-15 here, complex ** 6e-15
+    assert float(np.max(rel)) <= 3e-15
+
+
 def test_laurent_basis_powers_and_periods():
     basis = laurent_basis(0.0, -2, 1, ANN)
     assert [e.power for e in basis.elements] == [-2, -1, 0, 1]
@@ -167,6 +186,15 @@ def points(draw):
 def test_values_match_per_element_powers(basis, pts):
     got = basis.values(pts)
     want = stacked_values(basis, pts)
+    assert got.shape == want.shape == np.shape(pts) + (len(basis),)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(basis=bases(), pts=points(), order=st.integers(1, 3))
+def test_deriv_values_match_per_element_derivatives(basis, pts, order):
+    got = basis.deriv_values(pts, order)
+    want = np.stack([e.deriv(pts, order) for e in basis.elements], axis=-1)
     assert got.shape == want.shape == np.shape(pts) + (len(basis),)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 

@@ -4,12 +4,15 @@ Expected values come from analytic norm integrals:
     disc:     ||z^n||^2 = pi/(n+1),  with weight |z|^2: pi/(n+2)
     annulus:  ||z^n||^2 = 2 pi (r2^(2n+2)-r1^(2n+2))/(2n+2),  ||1/z||^2 = 2 pi ln(r2/r1)
 and from the closed forms in redbergman.oracles.  The pivoted Cholesky
-factorization and the structured Gram's real product are checked against
-the earlier right-looking loop and complex product, kept below.
+factorization, the structured Gram's real product over the frequency
+columns it reads, and the blocked dense Gram are checked against the
+earlier right-looking loop, complex and full-column products, and one
+complex product over all nodes, kept below.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from redbergman import (
     GramMatrix,
     KernelEvaluator,
     PowerWeight,
+    QuadratureRule,
     build_annulus_quadrature,
     build_disc_quadrature,
     build_generic_quadrature,
@@ -311,6 +315,75 @@ def test_gram_matrix_refuses_non_finite_entries():
         GramMatrix(entries=np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def scattered_rule(n_nodes, seed=3):
+    """n_nodes random points of the unit disc with random positive weights:
+    a generic rule of any size, so the dense Gram's node blocks can be
+    cut at will."""
+    rng = np.random.default_rng(seed)
+    nodes = np.sqrt(rng.random(n_nodes)) * np.exp(2j * np.pi * rng.random(n_nodes))
+    return QuadratureRule(nodes, 0.5 + rng.random(n_nodes), GenericDomain(
+        inside=lambda z: np.abs(z) < 1.0, bbox=(-1.0, 1.0, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n_nodes", [kernel.GRAM_BLOCK // 3, 2 * kernel.GRAM_BLOCK,
+                                     2 * kernel.GRAM_BLOCK + 123],
+                         ids=["below one block", "two blocks", "two blocks and a remainder"])
+def test_dense_gram_matches_complex_product(n_nodes):
+    rule = scattered_rule(n_nodes)
+    basis = monomial_basis(0.2 - 0.1j, 14, rule.domain)
+    weight = PowerWeight(1.0, 0.3 + 0.4j)
+    got = gram_matrix(basis, rule, weight).entries
+    # the complex product over all nodes at once, both triangles formed
+    vals = basis.values(rule.nodes)
+    wq = rule.weights * weight(rule.nodes)
+    want = (vals * wq[:, None]).T @ vals.conj()
+    d = np.sqrt(np.real(np.diag(want)))
+    assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-14
+    assert np.array_equal(got, got.conj().T)
+
+
+def test_dense_gram_names_the_first_non_finite_value_in_a_later_block():
+    rule = scattered_rule(2 * kernel.GRAM_BLOCK + 123)
+    node = rule.nodes[kernel.GRAM_BLOCK + 57]
+    bad = BasisElement(-1, node)
+    basis = RawBasis((BasisElement(0, 0j), BasisElement(1, 0j), bad), rule.domain)
+    with pytest.raises(EvaluationError, match=re.escape(f"element {bad!r} is non-finite "
+                                                        f"at node {node}")):
+        gram_matrix(basis, rule, ONE)
+
+
+def full_column_polar_gram(powers, polar, nu):
+    """The structured Gram multiplied against every FFT column: the
+    reference for the product over only the frequency differences read."""
+    s = np.arange(2 * powers.min(), 2 * powers.max() + 1)
+    f = np.fft.fft(nu.reshape(len(polar.radii), polar.n_angular), axis=1)
+    moments = (polar.ring_weights[:, None] * polar.radii[:, None] ** s).T
+    m = (moments @ f.view(float)).view(complex)
+    return m[powers[:, None] + powers[None, :] - s[0],
+             (powers[None, :] - powers[:, None]) % polar.n_angular]
+
+
+@pytest.mark.parametrize("rule, powers", [
+    (build_disc_quadrature(0.0, 1.0, 120, 480), np.arange(0, 121)),
+    (build_annulus_quadrature(0.0, 0.5, 1.0, 120, 480), np.arange(-60, 61)),
+    (build_disc_quadrature(0.0, 1.0, 40, 160), np.arange(0, 41)),
+], ids=["disc 120x480", "annulus 120x480", "disc 40x160"])
+def test_polar_gram_reads_only_the_needed_frequencies(rule, powers):
+    assert 2 * np.ptp(powers) + 1 < rule.polar.n_angular
+    nu = ONE(rule.nodes)
+    assert np.array_equal(kernel._polar_gram(powers, rule.polar, nu),
+                          full_column_polar_gram(powers, rule.polar, nu))
+    # Under a weight with angular structure every frequency column is
+    # nonzero.  The narrower product holds the columns in another order and
+    # width, so BLAS's tiling may round some entries differently (seen: up
+    # to 4e-16 of the diagonal scale at 120x480), so the match is to rounding.
+    nu = PowerWeight(1.0, 0.3 - 0.2j)(rule.nodes)
+    want = full_column_polar_gram(powers, rule.polar, nu)
+    d = np.sqrt(np.real(np.diag(want)))
+    got = kernel._polar_gram(powers, rule.polar, nu)
+    assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-15
+
+
 @pytest.mark.parametrize("radius, degree, norm", [(0.02, 120, "0.0"), (100.0, 100, "inf")],
                          ids=["underflow", "overflow"])
 def test_gram_norm_out_of_range_names_the_element(radius, degree, norm):
@@ -541,6 +614,51 @@ def test_batched_reproduce_matches_column_calls(case):
     assert got.shape == (f.shape[1],)
     assert isinstance(ev.reproduce(f[:, 0], zeta), complex)
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+NODE_EVALUATORS = {
+    "disc": lambda: disc_evaluator_shared(),
+    "annulus": lambda: annulus_evaluator(n_radial=24, n_angular=64),
+    "ellipse": ellipse_evaluator,
+}
+# inside the disc, the annulus 0.5 < |z| < 1 and the ellipse x^2 + 2 y^2 < 0.98
+RING_POINTS = np.array([0.6 + 0.2j, -0.55 + 0.3j, 0.1 - 0.62j, -0.4 - 0.45j])
+
+
+@pytest.mark.parametrize("case", NODE_EVALUATORS)
+def test_node_kernel_from_raw_values_matches_node_matrix(case):
+    ev = NODE_EVALUATORS[case]()
+    nodes = ev.rule.nodes
+    f = np.column_stack([ev.node_phi_columns(3), np.ones(len(nodes)), 2.0 * nodes])
+    zeta = RING_POINTS[0]
+    got_k = ev._node_kernel(ev.onb.phi_values(RING_POINTS))
+    got_repro = ev.reproduce(f, zeta)
+    got_self = ev.self_reproduction_residual(RING_POINTS, RING_POINTS[::-1])
+    assert "_node_phi" not in ev.__dict__
+    # the same quantities through the orthonormal node matrix
+    phi = ev._node_phi
+    wq = ev.rule.weights * ev._node_nu
+    p = ev.onb.phi_values(np.concatenate([RING_POINTS, RING_POINTS[::-1]]))
+    k = p.conj() @ phi.T
+    assert np.max(np.abs(got_k - k[:4])) <= 1e-14 * np.max(np.abs(k))
+    assert np.max(np.abs(f[:, :3] - phi[:, :3])) <= 1e-14 * np.max(np.abs(phi[:, :3]))
+    want_repro = np.array([np.sum(row) for row in (wq * f.T) * k[0].conj()])
+    assert np.max(np.abs(got_repro - want_repro)) <= 1e-14 * np.max(np.abs(want_repro))
+    n = len(RING_POINTS)
+    want_self = np.array([[abs(np.sum(p[i] * p[n + j].conj())
+                               - np.sum(wq * k[n + j] * k[i].conj()))
+                           for j in range(n)] for i in range(n)])
+    assert np.max(np.abs(got_self - want_self)) <= 1e-14
+
+
+def test_checks_on_a_generic_domain_never_form_the_node_matrix(tmp_path):
+    ev = ellipse_evaluator()
+    cfg = yaml.safe_load(cli.preset_text("invariants_disc"))
+    assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
+    run = cli.RunDir(str(tmp_path), "kernel", cfg)
+    assert cli._run_checks(cfg, ev, RING_POINTS, run) == 0.0
+    assert all(run.summary[f"check_{name}_ok"] for name in cli.KNOWN_CHECKS)
+    assert "_node_phi" not in ev.__dict__
 
 
 def test_evaluator_thread_safety():
