@@ -114,7 +114,7 @@ def build_domain(cfg, key):
                            float(cfg_get(spec, "r_outer")))
         if kind == "generic":
             return _generic_domain(spec, key)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     raise ConfigError(f"{key}.type must be disc, annulus or generic, got {kind!r}")
 
@@ -126,11 +126,14 @@ def _generic_domain(spec, key):
     ineqs = []
     for n, entry in enumerate(cfg_get(spec, "inequalities")):
         terms = cfg_get(entry, "poly")
+        if not all(isinstance(e, int) and e >= 0 for t in terms for e in t[:2]):
+            raise ConfigError(f"{key}.inequalities[{n}].poly exponents must be "
+                              "non-negative integers")
         imax = max(t[0] for t in terms)
         jmax = max(t[1] for t in terms)
         c = np.zeros((imax + 1, jmax + 1))
         for i, j, a in terms:
-            c[int(i), int(j)] = float(a)
+            c[i, j] = float(a)
         sign = cfg_get(entry, "sign")
         if sign not in ("<", ">"):
             raise ConfigError(f"{key}.inequalities[{n}].sign must be '<' or '>'")
@@ -149,20 +152,19 @@ def _generic_domain(spec, key):
     return GenericDomain(inside=inside, bbox=tuple(float(v) for v in bbox), holes=holes)
 
 
-def build_rule(cfg, domain, key, qkey):
+def build_rule(cfg, domain, qkey):
     spec = cfg_get(cfg, qkey)
+    if isinstance(domain, GenericDomain):
+        n_grid = cfg_get(spec, "n_grid")
+        if not isinstance(n_grid, int) or n_grid < 8:
+            raise ConfigError(f"'{qkey}.n_grid' must be an integer >= 8")
+        return build_generic_quadrature(domain, n_grid)
+    n_radial = _positive_int(cfg_get(spec, "n_radial"), f"{qkey}.n_radial")
+    n_angular = _positive_int(cfg_get(spec, "n_angular"), f"{qkey}.n_angular")
     if isinstance(domain, Disc):
-        return build_disc_quadrature(domain.center, domain.radius,
-                                     _positive_int(cfg_get(spec, "n_radial"), f"{qkey}.n_radial"),
-                                     _positive_int(cfg_get(spec, "n_angular"), f"{qkey}.n_angular"))
-    if isinstance(domain, Annulus):
-        return build_annulus_quadrature(domain.center, domain.r_inner, domain.r_outer,
-                                        _positive_int(cfg_get(spec, "n_radial"), f"{qkey}.n_radial"),
-                                        _positive_int(cfg_get(spec, "n_angular"), f"{qkey}.n_angular"))
-    n_grid = cfg_get(spec, "n_grid")
-    if not isinstance(n_grid, int) or n_grid < 8:
-        raise ConfigError(f"'{qkey}.n_grid' must be an integer >= 8")
-    return build_generic_quadrature(domain, n_grid)
+        return build_disc_quadrature(domain.center, domain.radius, n_radial, n_angular)
+    return build_annulus_quadrature(domain.center, domain.r_inner, domain.r_outer,
+                                    n_radial, n_angular)
 
 
 def build_basis(cfg, domain, key):
@@ -214,9 +216,7 @@ def build_map(cfg, source, target, key="map"):
             return PowerMap(m, source=source, target=target)
         if kind == "blaschke":
             for dom, name in ((source, "domain"), (target, "domain2")):
-                if not (isinstance(dom, Disc) and dom.center == 0 and dom.radius == 1.0):
-                    raise ConfigError(f"{key}: blaschke maps require unit-disc "
-                                      f"domains; fix '{name}'")
+                _require_unit_disc(dom, f"a blaschke {key} ('{name}')")
             zeros = [as_complex(a, f"{key}.zeros") for a in cfg_get(spec, "zeros")]
             return BlaschkeProduct(zeros)
         if kind == "polynomial":
@@ -250,31 +250,40 @@ def build_grid(cfg, key, seed=0):
     spec = cfg_get(cfg, key)
     kind = cfg_get(spec, "kind")
     center = as_complex(spec.get("center", 0.0), f"{key}.center")
-    if kind == "cartesian":
-        return disc_grid(float(cfg_get(spec, "rmax")),
-                         _positive_int(cfg_get(spec, "n"), f"{key}.n"), center)
-    if kind == "polar":
-        return annulus_grid(float(cfg_get(spec, "r_min")), float(cfg_get(spec, "r_max")),
-                            _positive_int(cfg_get(spec, "n_radial"), f"{key}.n_radial"),
-                            _positive_int(cfg_get(spec, "n_angular"), f"{key}.n_angular"),
-                            center)
-    if kind == "random_disc":
-        rng = np.random.default_rng(seed)
-        n = _positive_int(cfg_get(spec, "n"), f"{key}.n")
-        rmax = float(cfg_get(spec, "rmax"))
-        return center + rmax * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    if kind == "points":
-        return np.asarray([as_complex(p, f"{key}.values") for p in cfg_get(spec, "values")])
-    raise ConfigError(f"{key}.kind must be cartesian, polar, random_disc or points")
+    try:
+        if kind == "cartesian":
+            pts = disc_grid(float(cfg_get(spec, "rmax")),
+                            _positive_int(cfg_get(spec, "n"), f"{key}.n"), center)
+        elif kind == "polar":
+            pts = annulus_grid(float(cfg_get(spec, "r_min")), float(cfg_get(spec, "r_max")),
+                               _positive_int(cfg_get(spec, "n_radial"), f"{key}.n_radial"),
+                               _positive_int(cfg_get(spec, "n_angular"), f"{key}.n_angular"),
+                               center)
+        elif kind == "random_disc":
+            rng = np.random.default_rng(seed)
+            n = _positive_int(cfg_get(spec, "n"), f"{key}.n")
+            rmax = float(cfg_get(spec, "rmax"))
+            pts = center + rmax * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        elif kind == "points":
+            pts = np.asarray([as_complex(p, f"{key}.values") for p in cfg_get(spec, "values")])
+        else:
+            raise ConfigError(f"{key}.kind must be cartesian, polar, random_disc or points")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if pts.size == 0:
+        raise ConfigError(f"{key} has no sample points")
+    return pts
 
 
-def build_evaluator(cfg, dom_key, quad_key, basis_key, weight):
-    domain = build_domain(cfg, dom_key)
-    rule = build_rule(cfg, domain, dom_key, quad_key)
-    basis, n_prefilter = build_basis(cfg, domain, basis_key)
-    onb = orthonormalize(basis, rule, weight,
-                         float(cfg_get(cfg, "drop_tol", 1e-10)))
-    return KernelEvaluator(onb, rule, weight), n_prefilter
+def build_side(cfg, suffix=""):
+    """(domain, rule, orthonormal, prefilter basis size) of one side, each
+    built once from domain<suffix>, quadrature<suffix> and basis<suffix>;
+    orthonormal(weight) orthonormalizes the basis on the rule."""
+    domain = build_domain(cfg, "domain" + suffix)
+    rule = build_rule(cfg, domain, "quadrature" + suffix)
+    basis, n_prefilter = build_basis(cfg, domain, "basis" + suffix)
+    drop_tol = float(cfg_get(cfg, "drop_tol", 1e-10))
+    return domain, rule, lambda weight: orthonormalize(basis, rule, weight, drop_tol), n_prefilter
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +338,7 @@ def write_csv(path, header, table):
 def _oracle_values(cfg, ev, zs, ws):
     spec = cfg_get(cfg, "oracle")
     kind = cfg_get(spec, "type")
-    dom = ev.domain
+    dom = ev.rule.domain
     zs = zs[:, None]
     ws = ws[None, :]
     if kind == "disc":
@@ -371,13 +380,14 @@ def _run_checks(cfg, ev, zs, run):
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
     sample = zs[:: max(1, len(zs) // 8)][:8]
+    if {"conjugate_symmetry", "diagonal_positivity"} & set(checks):
+        k = ev.eval_kernel_grid(sample, sample)
     all_ok = True
     for name, tol in checks.items():
         if name == "conjugate_symmetry":
-            res = max(abs(ev.eval_kernel(a, b) - np.conj(ev.eval_kernel(b, a)))
-                      for a in sample for b in sample)
+            res = float(np.max(np.abs(k - k.conj().T)))
         elif name == "diagonal_positivity":
-            res = 0.0 if all(ev.diagonal(a) > 0 for a in sample) else float("inf")
+            res = 0.0 if np.all(np.diagonal(k).real > 0) else float("inf")
         elif name == "reproduce_basis":
             zeta = complex(sample[len(sample) // 2])
             m = min(5, ev.onb.retained_count)
@@ -387,7 +397,7 @@ def _run_checks(cfg, ev, zs, run):
         elif name == "self_reproduction":
             res = float(np.max(ev.self_reproduction_residual(sample[:4], sample[:4])))
         elif name == "dirichlet_pairing":
-            c0 = getattr(ev.domain, "center", 0.0)
+            c0 = getattr(ev.rule.domain, "center", 0.0)
             xi = complex(sample[len(sample) // 2])
             pairing = ev.reproduce(2.0 * (ev.rule.nodes - c0), xi)
             res = abs(pairing - 2.0 * (xi - c0))
@@ -402,8 +412,8 @@ def _run_checks(cfg, ev, zs, run):
 # pipelines
 
 def run_kernel(cfg, run: RunDir):
-    weight = build_weight(cfg)
-    ev, n_raw = build_evaluator(cfg, "domain", "quadrature", "basis", weight)
+    _, _, orthonormal, n_raw = build_side(cfg)
+    ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
             gram_condition=ev.onb.gram_condition)
 
@@ -432,24 +442,22 @@ def run_kernel(cfg, run: RunDir):
 
 def run_verify(cfg, run: RunDir):
     weight = build_weight(cfg)
-    pulled = weight
     has_map = cfg_get(cfg, "map", None) is not None
     has_corr = cfg_get(cfg, "correspondence", None) is not None
     if has_map == has_corr:
         raise ConfigError("verify needs exactly one of 'map' or 'correspondence'")
 
-    d1 = build_domain(cfg, "domain")
-    d2 = build_domain(cfg, "domain2")
+    d1, _, orthonormal1, _ = build_side(cfg)
+    d2, _, orthonormal2, _ = build_side(cfg, "2")
     if has_map:
         model = build_map(cfg, d1, d2)
-        pulled = pullback_weight(weight, model) if weight.kind != "constant" else weight
     else:
         model = build_correspondence(cfg, d1, d2)
         if weight.kind != "constant":
             raise ConfigError("weighted verification is defined for maps only")
 
-    ev1, _ = build_evaluator(cfg, "domain", "quadrature", "basis", pulled)
-    ev2, _ = build_evaluator(cfg, "domain2", "quadrature2", "basis2", weight)
+    ev1 = KernelEvaluator(orthonormal1(pullback_weight(weight, model)))
+    ev2 = KernelEvaluator(orthonormal2(weight))
     zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0))
     ws = build_grid(cfg, "grid.w", cfg_get(cfg, "seed", 0))
 
@@ -481,23 +489,20 @@ def run_adjoint(cfg, run: RunDir):
     gamma block pairs unweighted elements; the lambda block pairs the
     nu- and (nu o f)-orthonormal ones."""
     weight = build_weight(cfg)
-    d1 = build_domain(cfg, "domain")
-    d2 = build_domain(cfg, "domain2")
-    rule1 = build_rule(cfg, d1, "domain", "quadrature")
-    rule2 = build_rule(cfg, d2, "domain2", "quadrature2")
+    d1, rule1, orthonormal1, _ = build_side(cfg)
+    d2, rule2, orthonormal2, _ = build_side(cfg, "2")
     n_el = int(cfg_get(cfg, "adjoint.n_elements", 5))
 
-    def first_phis(domain, rule, basis_key, w):
-        onb = orthonormalize(build_basis(cfg, domain, basis_key)[0], rule, w,
-                             float(cfg_get(cfg, "drop_tol", 1e-10)))
+    def first_phis(orthonormal, w):
+        onb = orthonormal(w)
         return [onb.phi_function(k) for k in range(min(n_el, onb.retained_count))]
 
     worst = 0.0
     if cfg_get(cfg, "correspondence", None) is not None:
         corr = build_correspondence(cfg, d1, d2)
         one = ConstantWeight()
-        us = first_phis(d2, rule2, "basis2", one)
-        vs = first_phis(d1, rule1, "basis", one)
+        us = first_phis(orthonormal2, one)
+        vs = first_phis(orthonormal1, one)
         backward = branch_table(corr, rule2.nodes, forward=False)
         res = adjoint_residual_matrix(corr, us, vs, rule1, rule2, backward=backward)
         worst = max(worst, float(np.max(res)))
@@ -510,9 +515,8 @@ def run_adjoint(cfg, run: RunDir):
             worst = float("inf")
     if cfg_get(cfg, "map", None) is not None:
         f = build_map(cfg, d1, d2)
-        pulled = pullback_weight(weight, f) if weight.kind != "constant" else weight
-        us = first_phis(d2, rule2, "basis2", weight)
-        vs = first_phis(d1, rule1, "basis", pulled)
+        us = first_phis(orthonormal2, weight)
+        vs = first_phis(orthonormal1, pullback_weight(weight, f))
         nu = None if weight.kind == "constant" else weight
         res = adjoint_residual_matrix(f, us, vs, rule1, rule2, weight=nu)
         worst = max(worst, float(np.max(res)))
@@ -524,14 +528,14 @@ def run_adjoint(cfg, run: RunDir):
 
 
 def run_recover(cfg, run: RunDir):
-    d1 = build_domain(cfg, "domain")
-    d2 = build_domain(cfg, "domain2")
-    _require_unit_disc(d2, "recover")
     if cfg_get(cfg, "recover.stencil", None) is not None:
         raise ConfigError("'recover.stencil' is no longer used: the recovery "
                           "derivative is now exact; remove the key")
+    d1, _, orthonormal, _ = build_side(cfg)
+    d2 = build_domain(cfg, "domain2")
+    _require_unit_disc(d2, "recover")
     f = build_map(cfg, d1, d2)
-    ev, _ = build_evaluator(cfg, "domain", "quadrature", "basis", build_weight(cfg))
+    ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0))
     rec = recover_map(
         f, ev, zs,

@@ -2,11 +2,12 @@
 reduced-space filter.
 
 A raw basis is an ordered family of powers (z - c)^n, n possibly
-negative (Laurent).  The reduced subspace keeps exactly the elements
-admitting a single-valued primitive, which on a planar domain means all
-periods around holes vanish.  Periods of power elements are known from
-residue calculus: the only nonzero case is n = -1 around a hole whose
-bounded component contains the center.
+negative (Laurent); its values, derivatives and primitives are power
+columns built by cumulative products.  The reduced subspace keeps
+exactly the elements admitting a single-valued primitive, which on a
+planar domain means all periods around holes vanish.  Periods of power
+elements are known from residue calculus: the only nonzero case is
+n = -1 around a hole whose bounded component contains the center.
 """
 
 from __future__ import annotations
@@ -54,32 +55,6 @@ class BasisElement:
 
     def eval(self, z):
         return (np.asarray(z, dtype=complex) - self.center) ** self.power
-
-    def deriv(self, z, order: int):
-        """order-th analytic derivative; exact falling-factorial form."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        n = self.power
-        if 0 <= n < order:
-            return np.zeros(np.shape(z), dtype=complex)
-        coeff = 1.0
-        for i in range(order):
-            coeff *= n - i
-        return coeff * (np.asarray(z, dtype=complex) - self.center) ** (n - order)
-
-    @property
-    def has_power_primitive(self) -> bool:
-        return self.power != -1
-
-    def primitive(self, z):
-        """Antiderivative (z-c)^(n+1)/(n+1); power -1 has none in this
-        family (its primitive is a logarithm)."""
-        if self.power == -1:
-            raise PrimitiveUnavailableError(
-                f"(z - {self.center})^-1 has no power-form primitive"
-            )
-        n = self.power
-        return (np.asarray(z, dtype=complex) - self.center) ** (n + 1) / (n + 1)
 
     def __repr__(self):
         return f"BasisElement((z - {self.center})^{self.power})"
@@ -137,6 +112,18 @@ class RawBasis:
                            for e in self.elements], dtype=float)
         out = _power_columns(pts, terms)
         out *= coeffs
+        return out
+
+    def primitive_values(self, pts, used) -> np.ndarray:
+        """(npts, n_elements) matrix of primitives (z - c)^(n + 1)/(n + 1).
+        Power -1 has none (its primitive is a logarithm): its column is
+        zero, and it must not be marked in the element mask ``used``."""
+        for flag, e in zip(used, self.elements):
+            if flag and e.power == -1:
+                raise PrimitiveUnavailableError(f"{e!r} contributes to the basis but has "
+                                                "no primitive; apply reduced_filter first")
+        out = _power_columns(pts, [(e.power + 1, e.center) for e in self.elements])
+        out /= [e.power + 1 or np.inf for e in self.elements]
         return out
 
 
@@ -295,5 +282,8 @@ class PullbackWeight(WeightFn):
 
 
 def pullback_weight(weight: WeightFn, mapping) -> WeightFn:
-    """Form nu connected through a holomorphic map: z -> nu(f(z))."""
+    """Form nu connected through a holomorphic map: z -> nu(f(z)); a
+    constant weight is its own pull-back."""
+    if isinstance(weight, ConstantWeight):
+        return weight
     return PullbackWeight(weight, mapping)

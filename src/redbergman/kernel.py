@@ -3,10 +3,12 @@
 The (weighted, reduced or full) Bergman kernel of a truncated basis is
 computed as an orthonormal series K(z, w) = sum_k phi_k(z) *
 conj(phi_k(w)).  Orthonormal coefficients come from a left-looking
-pivoted Cholesky factorization of the discrete Gram matrix; derivatives
-in the conjugated slot are analytic (no finite differences), and
-primitives of the orthonormal elements give the kernel primitive whose
-Dirichlet pairing evaluates derivatives.
+pivoted Cholesky factorization of the discrete Gram matrix, and the
+orthonormal system keeps its rule and weight for the evaluator.  Kernel
+values are the order-0 case of the analytic derivatives in the
+conjugated slot (no finite differences), and primitives of the
+orthonormal elements give the kernel primitive whose Dirichlet pairing
+evaluates derivatives.
 
 On a polar rule with every basis element centred at the rule's centre,
 the angular trapezoid sum in a Gram entry is a DFT of the weight on one
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, EvaluationError, PrimitiveUnavailableError
+from .errors import DegenerateBasisError, EvaluationError
 from .geometry import PolarStructure, QuadratureRule
 from .holobasis import RawBasis, WeightFn
 
@@ -182,7 +184,8 @@ def _pivoted_cholesky(a: np.ndarray, drop_tol: float):
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Truncated orthonormal system phi_k = sum_j coeffs[k, j] * raw_j.
+    """Truncated orthonormal system phi_k = sum_j coeffs[k, j] * raw_j
+    in the inner product of ``rule`` weighted by ``weight``.
 
     ``coeffs`` has one row per retained element and one column per raw
     element (zero columns for dropped ones); ``gram_condition`` is the
@@ -193,6 +196,8 @@ class OrthonormalBasis:
     coeffs: np.ndarray
     retained_count: int
     gram_condition: float
+    rule: QuadratureRule
+    weight: WeightFn
 
     def phi_values(self, pts) -> np.ndarray:
         """(npts, retained_count) matrix of orthonormal element values."""
@@ -202,21 +207,9 @@ class OrthonormalBasis:
         return self.raw.deriv_values(pts, order) @ self.coeffs.T
 
     def phi_primitive_values(self, pts) -> np.ndarray:
+        """Primitives of the orthonormal elements, see RawBasis.primitive_values."""
         used = np.any(self.coeffs != 0, axis=0)
-        for flag, e in zip(used, self.raw.elements):
-            if flag and not e.has_power_primitive:
-                raise PrimitiveUnavailableError(
-                    f"{e!r} contributes to the basis but has no primitive; "
-                    "apply reduced_filter first"
-                )
-        prim = np.zeros(np.shape(np.asarray(pts)) + (len(self.raw),), dtype=complex)
-        idx = np.nonzero(used)[0]
-        cols = np.stack(
-            [self.raw.elements[i].primitive(np.asarray(pts, dtype=complex)) for i in idx],
-            axis=-1,
-        )
-        prim[..., idx] = cols
-        return prim @ self.coeffs.T
+        return self.raw.primitive_values(pts, used) @ self.coeffs.T
 
     def phi_function(self, k: int):
         """The k-th orthonormal element as a plain callable."""
@@ -252,6 +245,8 @@ def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,
         coeffs=coeffs,
         retained_count=r,
         gram_condition=float(pivots[0] / pivots[-1]),
+        rule=rule,
+        weight=weight,
     )
 
 
@@ -266,11 +261,10 @@ class KernelEvaluator:
     matrix.
     """
 
-    def __init__(self, onb: OrthonormalBasis, rule: QuadratureRule, weight: WeightFn):
+    def __init__(self, onb: OrthonormalBasis):
         self.onb = onb
-        self.rule = rule
-        self.weight = weight
-        self._node_nu = np.asarray(weight(rule.nodes), dtype=float)
+        self.rule = onb.rule
+        self._node_nu = np.asarray(onb.weight(onb.rule.nodes), dtype=float)
 
     @functools.cached_property
     def _node_raw(self) -> np.ndarray:
@@ -293,42 +287,27 @@ class KernelEvaluator:
         (k, retained) orthonormal values phi(P) of k points."""
         return (phi_pts.conj() @ self.onb.coeffs) @ self._node_raw.T
 
-    @property
-    def domain(self):
-        return self.rule.domain
-
     def eval_kernel(self, z, w) -> complex:
-        """K(z, w) = sum_k phi_k(z) conj(phi_k(w)).  Exactly
+        """K(z, w), one entry of eval_kernel_grid.  Exactly
         conjugate-symmetric: the arguments are put in a canonical order
         before summing, so swapping them conjugates the result bitwise."""
         z = complex(z)
         w = complex(w)
         if (w.real, w.imag) < (z.real, z.imag):
             return np.conj(self.eval_kernel(w, z))
-        pz = self.onb.phi_values(np.asarray(z, dtype=complex))
-        pw = self.onb.phi_values(np.asarray(w, dtype=complex))
-        return complex(np.sum(pz * pw.conj(), axis=-1))
+        return complex(self.eval_kernel_grid(z, w)[0, 0])
 
     def eval_kernel_grid(self, zs, ws) -> np.ndarray:
         """(len(zs), len(ws)) matrix of kernel values."""
-        pz = self.onb.phi_values(np.atleast_1d(np.asarray(zs, dtype=complex)))
-        pw = self.onb.phi_values(np.atleast_1d(np.asarray(ws, dtype=complex)))
-        return pz @ pw.conj().T
+        return self.eval_kernel_dbar(zs, ws, 0)
 
     def eval_kernel_dbar(self, zs, ws, beta: int) -> np.ndarray:
         """(len(zs), len(ws)) matrix of the beta-th derivative in conj(w),
         sum_k phi_k(z) conj(phi_k^(beta)(w)), by analytic differentiation
-        of the conjugated factor."""
-        if beta < 0:
-            raise ValueError("derivative order must be >= 0")
+        of the conjugated factor; a negative beta raises ValueError."""
         pz = self.onb.phi_values(np.atleast_1d(np.asarray(zs, dtype=complex)))
         pw = self.onb.phi_deriv_values(np.atleast_1d(np.asarray(ws, dtype=complex)), beta)
         return pz @ pw.conj().T
-
-    def diagonal(self, z) -> float:
-        """K(z, z), always > 0 for points the basis sees."""
-        p = self.onb.phi_values(np.asarray(z, dtype=complex))
-        return float(np.sum(np.abs(p) ** 2, axis=-1))
 
     def reproduce(self, f_samples, zeta):
         """Discrete reproducing integral

@@ -176,7 +176,8 @@ class ProperMap:
     ``numer``/``denom`` are ascending coefficient arrays (denom = [1] for
     polynomial families).  ``graph`` holds the coefficients of the graph
     correspondence numer(z) - w*denom(z) in CorrespondenceModel layout;
-    the multiplicity is its degree in z.
+    the multiplicity is its degree in z.  ``v2`` holds the critical
+    values (deduplicated images of the critical points).
     """
 
     def __init__(self, numer, denom, source: PlanarDomain, target: PlanarDomain):
@@ -215,10 +216,6 @@ class ProperMap:
         the cluster of roots the solver returns (their images are deduplicated)."""
         pts = _poly_roots(self._dnumer)
         return pts[self.source.contains(pts, MEMBERSHIP_MARGIN)] if pts.size else pts
-
-    def critical_values(self) -> np.ndarray:
-        """Images of the critical points, deduplicated."""
-        return self.v2
 
     def local_inverses(self, w) -> BranchSet:
         """All multiplicity-many solutions of f(z) = w in the source,
@@ -346,8 +343,8 @@ class CorrespondenceModel:
                            else np.zeros((1, 1)))
         object.__setattr__(self, "_cw", P.polyder(c, axis=1) if c.shape[1] > 1
                            else np.zeros((1, 1)))
-        object.__setattr__(self, "_v1", self._singular_set(axis=0))
-        object.__setattr__(self, "_v2", self._singular_set(axis=1))
+        object.__setattr__(self, "v1", self._singular_set(axis=0))
+        object.__setattr__(self, "v2", self._singular_set(axis=1))
 
     @property
     def p(self) -> int:
@@ -356,14 +353,6 @@ class CorrespondenceModel:
     @property
     def q(self) -> int:
         return self.coeffs.shape[0] - 1
-
-    @property
-    def v1(self) -> np.ndarray:
-        return self._v1
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self._v2
 
     @staticmethod
     def _val2d(z, w, c):

@@ -227,7 +227,7 @@ def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
     fallback_probe.
     """
     zs = np.asarray(z_grid, dtype=complex)
-    crit = f.critical_values()
+    crit = f.v2   # the critical values
     w0 = complex(probe)
     shifted = False
     if crit.size and np.min(np.abs(crit - w0)) <= GRID_EXCLUSION:

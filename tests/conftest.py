@@ -58,7 +58,7 @@ def disc_evaluator(degree=40, n_radial=40, n_angular=160, weight_kind="one"):
     weight = weights[weight_kind]()
     rule = build_disc_quadrature(0.0, 1.0, n_radial, n_angular)
     basis = monomial_basis(0.0, degree, rule.domain)
-    return KernelEvaluator(orthonormalize(basis, rule, weight), rule, weight)
+    return KernelEvaluator(orthonormalize(basis, rule, weight))
 
 
 @lru_cache(maxsize=None)
@@ -67,4 +67,4 @@ def annulus_evaluator(r_in, r_out, n_min, n_max, n_radial=48, n_angular=192):
     rule = build_annulus_quadrature(0.0, r_in, r_out, n_radial, n_angular)
     basis = reduced_filter(laurent_basis(0.0, n_min, n_max, rule.domain))
     one = ConstantWeight()
-    return KernelEvaluator(orthonormalize(basis, rule, one), rule, one)
+    return KernelEvaluator(orthonormalize(basis, rule, one))

@@ -67,7 +67,7 @@ def test_criterion_2_annulus_reduced_oracle():
     from redbergman import KernelEvaluator, laurent_basis
     one = ConstantWeight()
     full_basis = laurent_basis(0.0, -20, 20, ev.rule.domain)
-    full = KernelEvaluator(orthonormalize(full_basis, ev.rule, one), ev.rule, one)
+    full = KernelEvaluator(orthonormalize(full_basis, ev.rule, one))
     sub = grid[:: 7]
     diff = full.eval_kernel_grid(sub, sub) - ev.eval_kernel_grid(sub, sub)
     term = 1.0 / (sub[:, None] * np.conj(sub[None, :])) / (2.0 * math.pi * math.log(2.0))
@@ -97,7 +97,7 @@ def test_criterion_3_proper_map_disc():
 def test_criterion_4_proper_map_annulus():
     ev1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41)
     ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
-    f = PowerMap(2, ev1.domain, ev2.domain)
+    f = PowerMap(2, ev1.rule.domain, ev2.rule.domain)
     rep = verify_proper(f, ev1, ev2, annulus_grid(0.75, 0.95, 6, 12),
                         annulus_grid(0.55, 0.95, 8, 12))
     report("criterion 4 (transformation formula, z^2 between annuli)",
@@ -200,7 +200,7 @@ def test_criterion_9_structural_invariants():
 
     sym = max(abs(ev.eval_kernel(a, b) - np.conj(ev.eval_kernel(b, a)))
               for a in pts[:6] for b in pts[6:])
-    positive = all(ev.diagonal(z) > 0 for z in pts)
+    positive = all(ev.eval_kernel(z, z).real > 0 for z in pts)
 
     repro = 0.0
     for k in range(5):

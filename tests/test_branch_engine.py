@@ -81,7 +81,7 @@ def polynomial_maps(draw):
 
 
 def check_map(f):
-    crit = f.critical_values()
+    crit = f.v2
     table = f.local_inverses(QUERIES)
     regular = far_from(QUERIES, crit, NEAR_CRITICAL_RADIUS)
     # completeness: every regular query has all multiplicity-many branches
@@ -130,7 +130,7 @@ def test_graph_correspondence_matches_map(f):
     assert np.array_equal(bwd.points[both], inv.points[both])
     for x, row in zip(QUERIES[bwd.ok], bwd.points[bwd.ok]):
         assert np.array_equal(row, reference_branches(corr.coeffs, 1, x, corr.d1))
-    far = far_from(QUERIES, f.critical_values(), 1e-4) & both
+    far = far_from(QUERIES, f.v2, 1e-4) & both
     assert np.max(np.abs(bwd.derivatives[far] / inv.derivatives[far] - 1.0)) <= 1e-10
 
     zs = inv.points[inv.ok].ravel()

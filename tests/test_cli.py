@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -400,7 +401,8 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
         quadrature={"n_grid": 64},
     )
     cfg["basis"]["degree"] = 12
-    ev, _ = cli.build_evaluator(cfg, "domain", "quadrature", "basis", cli.build_weight(cfg))
+    _, _, orthonormal, _ = cli.build_side(cfg)
+    ev = cli.KernelEvaluator(orthonormal(cli.build_weight(cfg)))
     n_nodes = len(ev.rule.nodes)
     calls = []
     real = RawBasis.values
@@ -409,11 +411,82 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
         calls.append(np.shape(pts))
         return real(self, pts)
 
+    scalar_calls = []
+    real_scalar = cli.KernelEvaluator.eval_kernel
+
+    def counting_scalar(self, z, w):
+        scalar_calls.append((z, w))
+        return real_scalar(self, z, w)
+
     monkeypatch.setattr(RawBasis, "values", counting)
+    monkeypatch.setattr(cli.KernelEvaluator, "eval_kernel", counting_scalar)
     run = cli.RunDir(str(tmp_path), "kernel", cfg)
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
     assert cli._run_checks(cfg, ev, cli.build_grid(cfg, "grid.z"), run) == 0.0
     assert calls.count((n_nodes,)) == 1
+    assert scalar_calls == []
+
+
+@pytest.mark.parametrize("preset, sides", [
+    ("proper_square_disc", ("", "2")),
+    ("corr_sqrt_disc", ("", "2")),
+    ("adjoint_disc", ("", "2")),
+    ("recover_blaschke", ("",)),
+])
+def test_pipelines_build_each_side_once(tmp_path, monkeypatch, preset, sides):
+    from redbergman import cli
+
+    calls = Counter()
+
+    def spy(name, key_at):
+        real = getattr(cli, name)
+
+        def wrapped(*args):
+            calls[name, args[key_at]] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    spy("build_domain", 1)
+    spy("build_rule", 2)
+    spy("build_basis", 2)
+    cfg = yaml.safe_load(preset_text(preset))
+    command = cfg.pop("run")
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, yaml.safe_dump(cfg))) == 0
+    # recover reads the target domain alone
+    want = Counter({("build_domain", "domain"): 1, ("build_domain", "domain2"): 1})
+    for suffix in sides:
+        want.update({("build_rule", "quadrature" + suffix): 1,
+                     ("build_basis", "basis" + suffix): 1})
+    assert calls == want
+
+
+def generic_domain_with(term):
+    """Overrides for DISC_KERNEL_CFG: the unit disc as a predicate whose
+    first polynomial term is ``term``, without the disc oracle."""
+    return {"domain": {"type": "generic", "bbox": [-1.0, 1.0, -1.0, 1.0],
+                       "inequalities": [{"poly": [term, [0, 2, 1.0], [0, 0, -1.0]],
+                                         "sign": "<"}]},
+            "quadrature": {"n_grid": 16}, "oracle": None}
+
+
+GOOD_GRID = {"kind": "cartesian", "rmax": 0.5, "n": 3}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"z": {"kind": "cartesian", "rmax": 0.7, "n": 1}, "w": GOOD_GRID}},
+    {"grid": {"z": {"kind": "points", "values": []}, "w": GOOD_GRID}},
+    {"grid": {"z": GOOD_GRID, "w": {"kind": "cartesian", "rmax": "x", "n": 3}}},
+    generic_domain_with([2.0, 0, 1.0]),
+    generic_domain_with([-1, 0, 1.0]),
+    generic_domain_with([2, 0, None]),
+], ids=["masked-cartesian", "no-points", "rmax-not-a-number", "float-exponent",
+        "negative-exponent", "null-coefficient"])
+def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys, overrides):
+    cfg = yaml.safe_load(DISC_KERNEL_CFG)
+    cfg.update(overrides)
+    assert run_cli(tmp_path, "kernel", write_cfg(tmp_path, yaml.safe_dump(cfg))) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def csv_writer_oracle(header, rows):

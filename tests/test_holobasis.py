@@ -1,5 +1,7 @@
 """Basis families, periods, the reduced filter, and weights."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,8 +36,7 @@ def test_monomial_basis_elements():
 
 def test_monomial_derivative_value():
     basis = monomial_basis(0.0, 2, DISC)
-    z2 = basis.elements[2]
-    assert z2.deriv(0.3, 1) == pytest.approx(0.6)
+    assert basis.deriv_values(0.3, 1)[2] == pytest.approx(0.6)
 
 
 def test_derivatives_match_finite_differences():
@@ -43,11 +44,11 @@ def test_derivatives_match_finite_differences():
     basis = laurent_basis(0.0, -3, 4, ANN)
     pts = 0.7 * np.exp(2j * np.pi * rng.random(8))
     h = 1e-6
-    for e in basis.elements:
-        for order in (1, 2):
-            fd = (e.deriv(pts + h, order - 1) - e.deriv(pts - h, order - 1)) / (2 * h)
-            exact = e.deriv(pts, order)
-            assert np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-12)) < 1e-6
+    for order in (1, 2):
+        fd = (basis.deriv_values(pts + h, order - 1)
+              - basis.deriv_values(pts - h, order - 1)) / (2 * h)
+        exact = basis.deriv_values(pts, order)
+        assert np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-12)) < 1e-6
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -149,6 +150,14 @@ def stacked_values(basis, pts):
     return np.stack([e.eval(pts) for e in basis.elements], axis=-1)
 
 
+def stacked_derivs(basis, pts, order):
+    """Reference: every element's falling factorial n (n - 1) ... (n - order + 1)
+    times (z - c)^(n - order) by ``**``; the factorial is 0 for 0 <= n < order."""
+    pts = np.asarray(pts, dtype=complex)
+    return np.stack([math.prod(range(e.power - order + 1, e.power + 1))
+                     * (pts - e.center) ** (e.power - order) for e in basis.elements], axis=-1)
+
+
 # the sample points lie in 0.4 <= |z| <= 0.9, at least 0.29 from every centre
 CENTRES = (0.0, 0.1 - 0.05j, 1.6 + 0.4j, -1.2j)
 
@@ -188,13 +197,21 @@ def test_values_match_per_element_powers(basis, pts):
     want = stacked_values(basis, pts)
     assert got.shape == want.shape == np.shape(pts) + (len(basis),)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    # primitives (z - c)^(n + 1)/(n + 1); power -1 has none and is not used
+    has = np.array([e.power != -1 for e in basis.elements])
+    got = basis.primitive_values(pts, has)
+    want = np.stack([(np.asarray(pts, dtype=complex) - e.center) ** (e.power + 1)
+                     / (e.power + 1) for e in basis.elements if e.power != -1], axis=-1)
+    assert got.shape == np.shape(pts) + (len(basis),)
+    assert np.all(got[..., ~has] == 0)
+    assert np.all(np.abs(got[..., has] - want) <= 1e-13 * np.abs(want))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(basis=bases(), pts=points(), order=st.integers(1, 3))
 def test_deriv_values_match_per_element_derivatives(basis, pts, order):
     got = basis.deriv_values(pts, order)
-    want = np.stack([e.deriv(pts, order) for e in basis.elements], axis=-1)
+    want = stacked_derivs(basis, pts, order)
     assert got.shape == want.shape == np.shape(pts) + (len(basis),)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 

@@ -31,11 +31,11 @@ def test_polynomial_derivative_matches_finite_differences():
 
 
 def test_critical_values():
-    assert list(PowerMap(2).critical_values()) == [0.0]
-    assert PowerMap(1).critical_values().size == 0
+    assert list(PowerMap(2).v2) == [0.0]
+    assert PowerMap(1).v2.size == 0
 
     f = BlaschkeProduct([0.0, 0.5])     # z(z - 0.5)/(1 - 0.5 z)
-    crit = f.critical_values()
+    crit = f.v2
     assert len(crit) == 1
     # residual check: f' vanishes at the preimage inside the disc
     pts = f.critical_points()
@@ -49,7 +49,7 @@ def test_critical_values():
     # critical values at all
     ann = Annulus(0.0, 0.5, 1.0)
     f = PowerMap(2, source=ann, target=Annulus(0.0, 0.25, 1.0))
-    assert f.critical_values().size == 0
+    assert f.v2.size == 0
 
 
 def test_local_inverses_power2():
@@ -72,7 +72,7 @@ def test_local_inverses_power3():
 def test_local_inverses_blaschke_roundtrip():
     f = BlaschkeProduct([0.0, 0.5])
     rng = np.random.default_rng(9)
-    crit = f.critical_values()
+    crit = f.v2
     ws = np.array([0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
                    for _ in range(20)])
     ws = ws[np.min(np.abs(crit[None, :] - ws[:, None]), axis=1) >= 1e-3]
@@ -90,7 +90,7 @@ def test_local_inverses_near_critical_rejected():
 
 def test_branch_completeness_on_grid():
     f = BlaschkeProduct([0.3, -0.2])
-    crit = f.critical_values()
+    crit = f.v2
     t = np.linspace(-0.85, 0.85, 15)
     grid = (t[:, None] + 1j * t[None, :]).ravel()
     grid = grid[np.abs(grid) < 0.85]

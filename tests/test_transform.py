@@ -180,14 +180,14 @@ def test_verify_proper_power2_annulus_reduced():
     ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
     zg = annulus_grid(0.75, 0.95, 4, 8)
     wg = annulus_grid(0.55, 0.95, 5, 8)
-    report = verify_proper(PowerMap(2, ev1.domain, ev2.domain), ev1, ev2, zg, wg)
+    report = verify_proper(PowerMap(2, ev1.rule.domain, ev2.rule.domain), ev1, ev2, zg, wg)
     assert report.excluded == 0
     assert report.max_rel_residual < 1e-5
 
     # refining the quadrature one notch keeps the residual at rounding level
     fine1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41, n_radial=64, n_angular=256)
     fine2 = annulus_evaluator(0.5, 1.0, -20, 20, n_radial=64, n_angular=128)
-    fine = verify_proper(PowerMap(2, fine1.domain, fine2.domain), fine1, fine2, zg, wg)
+    fine = verify_proper(PowerMap(2, fine1.rule.domain, fine2.rule.domain), fine1, fine2, zg, wg)
     assert fine.max_rel_residual <= report.max_rel_residual * 1.5 + 1e-12
 
 
@@ -237,8 +237,8 @@ def test_verify_weighted_radial_poly():
     rule = build_disc_quadrature(0.0, 1.0, 40, 160)
     basis = monomial_basis(0.0, 40, rule.domain)
     pulled = pullback_weight(nu, f)              # 1 + |z|^4
-    ev1 = KernelEvaluator(orthonormalize(basis, rule, pulled), rule, pulled)
-    ev2 = KernelEvaluator(orthonormalize(basis, rule, nu), rule, nu)
+    ev1 = KernelEvaluator(orthonormalize(basis, rule, pulled))
+    ev2 = KernelEvaluator(orthonormalize(basis, rule, nu))
     report = verify_proper(f, ev1, ev2, disc_grid(0.7, 11), disc_grid(0.49, 10))
     assert report.max_rel_residual < 1e-6
 
@@ -266,9 +266,8 @@ def test_verify_weighted_identity_any_weight():
     rule = build_disc_quadrature(0.0, 1.0, 24, 64)
     basis = monomial_basis(0.0, 15, rule.domain)
     from redbergman import KernelEvaluator
-    ev1 = KernelEvaluator(orthonormalize(basis, rule, pullback_weight(nu, f)),
-                          rule, pullback_weight(nu, f))
-    ev2 = KernelEvaluator(orthonormalize(basis, rule, nu), rule, nu)
+    ev1 = KernelEvaluator(orthonormalize(basis, rule, pullback_weight(nu, f)))
+    ev2 = KernelEvaluator(orthonormalize(basis, rule, nu))
     grid = disc_grid(0.6, 9)
     report = verify_proper(f, ev1, ev2, grid, grid)
     assert report.max_rel_residual < 1e-12
@@ -289,7 +288,7 @@ def test_weighted_annulus_kernel_against_series():
     rule = build_annulus_quadrature(0.0, 0.5, 1.0, 48, 96)
     nu = PowerWeight(1.0)
     basis = reduced_filter(laurent_basis(0.0, -20, 20, rule.domain))
-    ev = KernelEvaluator(orthonormalize(basis, rule, nu), rule, nu)
+    ev = KernelEvaluator(orthonormalize(basis, rule, nu))
     pts = annulus_grid(0.55, 0.95, 7, 8)
     got = ev.eval_kernel_grid(pts, pts)
     x = pts[:, None] * np.conj(pts[None, :])
@@ -312,8 +311,8 @@ def test_verify_weighted_between_annuli():
     pulled = pullback_weight(nu, f)
     b1 = reduced_filter(laurent_basis(0.0, -39, 41, rule1.domain))
     b2 = reduced_filter(laurent_basis(0.0, -20, 20, rule2.domain))
-    ev1 = KernelEvaluator(orthonormalize(b1, rule1, pulled), rule1, pulled)
-    ev2 = KernelEvaluator(orthonormalize(b2, rule2, nu), rule2, nu)
+    ev1 = KernelEvaluator(orthonormalize(b1, rule1, pulled))
+    ev2 = KernelEvaluator(orthonormalize(b2, rule2, nu))
     rep = verify_proper(f, ev1, ev2, annulus_grid(0.75, 0.95, 4, 8),
                         annulus_grid(0.55, 0.95, 5, 8))
     assert rep.excluded == 0
