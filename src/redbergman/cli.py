@@ -93,6 +93,15 @@ def as_complex(value, path):
     raise ConfigError(f"'{path}' must be a number or [re, im] pair, got {value!r}")
 
 
+def _convert(kind, value, path):
+    """kind(value) for kind int or float; a value it rejects is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{path}' must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+
+
 def _positive_int(value, path):
     if not isinstance(value, int) or value < 1:
         raise ConfigError(f"'{path}' must be a positive integer, got {value!r}")
@@ -172,18 +181,21 @@ def build_basis(cfg, domain, key):
     spec = cfg_get(cfg, key)
     kind = cfg_get(spec, "type")
     center = as_complex(spec.get("center", 0.0), f"{key}.center")
-    if kind == "monomial":
-        degree = cfg_get(spec, "degree")
-        if not isinstance(degree, int) or degree < 0:
-            raise ConfigError(f"'{key}.degree' must be a non-negative integer")
-        basis = monomial_basis(center, degree, domain)
-    elif kind == "laurent":
-        if not isinstance(domain, Annulus):
-            raise ConfigError(f"{key}: a laurent basis requires an annulus domain")
-        basis = laurent_basis(center, int(cfg_get(spec, "n_min")),
-                              int(cfg_get(spec, "n_max")), domain)
-    else:
-        raise ConfigError(f"{key}.type must be monomial or laurent, got {kind!r}")
+    try:
+        if kind == "monomial":
+            degree = cfg_get(spec, "degree")
+            if not isinstance(degree, int) or degree < 0:
+                raise ConfigError(f"'{key}.degree' must be a non-negative integer")
+            basis = monomial_basis(center, degree, domain)
+        elif kind == "laurent":
+            if not isinstance(domain, Annulus):
+                raise ConfigError(f"{key}: a laurent basis requires an annulus domain")
+            basis = laurent_basis(center, _convert(int, cfg_get(spec, "n_min"), f"{key}.n_min"),
+                                  _convert(int, cfg_get(spec, "n_max"), f"{key}.n_max"), domain)
+        else:
+            raise ConfigError(f"{key}.type must be monomial or laurent, got {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
     n_prefilter = len(basis)
     if spec.get("reduced", False):
         basis = reduced_filter(basis)
@@ -282,7 +294,9 @@ def build_side(cfg, suffix=""):
     domain = build_domain(cfg, "domain" + suffix)
     rule = build_rule(cfg, domain, "quadrature" + suffix)
     basis, n_prefilter = build_basis(cfg, domain, "basis" + suffix)
-    drop_tol = float(cfg_get(cfg, "drop_tol", 1e-10))
+    drop_tol = _convert(float, cfg_get(cfg, "drop_tol", 1e-10), "drop_tol")
+    if not drop_tol > 0:
+        raise ConfigError(f"'drop_tol' must be positive, got {drop_tol!r}")
     return domain, rule, lambda weight: orthonormalize(basis, rule, weight, drop_tol), n_prefilter
 
 
@@ -379,30 +393,37 @@ def _run_checks(cfg, ev, zs, run):
     for name in checks:
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+    tols = {name: _convert(float, tol, f"checks.{name}") for name, tol in checks.items()}
     sample = zs[:: max(1, len(zs) // 8)][:8]
     if {"conjugate_symmetry", "diagonal_positivity"} & set(checks):
         k = ev.eval_kernel_grid(sample, sample)
+    # every node sum reads its rows from one node_values pass: the first m
+    # orthonormal elements, K(., zeta) and K(., P) for the points P of sample[:4]
+    zeta = complex(sample[len(sample) // 2])
+    m = min(5, ev.onb.retained_count) if "reproduce_basis" in checks else 0
+    zetas = [zeta] if {"reproduce_basis", "dirichlet_pairing"} & set(checks) else []
+    self_pts = sample[:4] if "self_reproduction" in checks else sample[:0]
+    rows = np.vstack([ev.onb.coeffs[:m], ev.kernel_rows(np.r_[zetas, self_pts])])
+    f, k_zeta, k_self = np.split(ev.node_values(rows) if len(rows) else rows,
+                                 [m, m + len(zetas)])
     all_ok = True
-    for name, tol in checks.items():
+    for name, tol in tols.items():
         if name == "conjugate_symmetry":
             res = float(np.max(np.abs(k - k.conj().T)))
         elif name == "diagonal_positivity":
             res = 0.0 if np.all(np.diagonal(k).real > 0) else float("inf")
         elif name == "reproduce_basis":
-            zeta = complex(sample[len(sample) // 2])
-            m = min(5, ev.onb.retained_count)
-            got = ev.reproduce(ev.node_phi_columns(m), zeta)
+            got = ev.reproduce(f, k_zeta[0])
             want = ev.onb.phi_values(np.asarray(zeta))[:m]
             res = float(np.max(np.abs(got - want)))
         elif name == "self_reproduction":
-            res = float(np.max(ev.self_reproduction_residual(sample[:4], sample[:4])))
+            res = float(np.max(ev.self_reproduction_residual(self_pts, k_self)))
         elif name == "dirichlet_pairing":
             c0 = getattr(ev.rule.domain, "center", 0.0)
-            xi = complex(sample[len(sample) // 2])
-            pairing = ev.reproduce(2.0 * (ev.rule.nodes - c0), xi)
-            res = abs(pairing - 2.0 * (xi - c0))
-            res = max(res, abs(ev.kernel_primitive(xi, xi)))
-        ok = res <= float(tol)
+            pairing = ev.reproduce(2.0 * (ev.rule.nodes - c0), k_zeta[0])
+            res = abs(pairing - 2.0 * (zeta - c0))
+            res = max(res, abs(ev.kernel_primitive(zeta, zeta)))
+        ok = res <= tol
         all_ok = all_ok and ok
         run.add(**{f"check_{name}": float(res), f"check_{name}_ok": ok})
     return 0.0 if all_ok else float("inf")
@@ -491,7 +512,7 @@ def run_adjoint(cfg, run: RunDir):
     weight = build_weight(cfg)
     d1, rule1, orthonormal1, _ = build_side(cfg)
     d2, rule2, orthonormal2, _ = build_side(cfg, "2")
-    n_el = int(cfg_get(cfg, "adjoint.n_elements", 5))
+    n_el = _positive_int(cfg_get(cfg, "adjoint.n_elements", 5), "adjoint.n_elements")
 
     def first_phis(orthonormal, w):
         onb = orthonormal(w)
@@ -517,8 +538,7 @@ def run_adjoint(cfg, run: RunDir):
         f = build_map(cfg, d1, d2)
         us = first_phis(orthonormal2, weight)
         vs = first_phis(orthonormal1, pullback_weight(weight, f))
-        nu = None if weight.kind == "constant" else weight
-        res = adjoint_residual_matrix(f, us, vs, rule1, rule2, weight=nu)
+        res = adjoint_residual_matrix(f, us, vs, rule1, rule2, weight=weight)
         worst = max(worst, float(np.max(res)))
         run.add(lambda_max_residual=float(np.max(res)))
     if cfg_get(cfg, "correspondence", None) is None and cfg_get(cfg, "map", None) is None:
@@ -609,6 +629,8 @@ def execute(subcommand, cfg, out_root, verbose=False):
         yaml.safe_dump(cfg, fh, sort_keys=True)
     run.add(seed=cfg_get(cfg, "seed", 0))
     tolerance = cfg_get(cfg, "tolerance", None)
+    if tolerance is not None:
+        tolerance = _convert(float, tolerance, "tolerance")
     try:
         gate_value = PIPELINES[subcommand](cfg, run)
     except ConfigError:
@@ -620,14 +642,14 @@ def execute(subcommand, cfg, out_root, verbose=False):
             print("\n".join(lines))
         print(f"{subcommand}: numerical failure: {exc}", file=sys.stderr)
         return 3
-    gated = tolerance is not None and gate_value > float(tolerance)
+    gated = tolerance is not None and gate_value > tolerance
     if tolerance is not None:
-        run.add(gate_value=float(gate_value), gate_tolerance=float(tolerance))
+        run.add(gate_value=float(gate_value), gate_tolerance=tolerance)
     lines = run.write_summary("gate_failed" if gated else "ok")
     if verbose:
         print("\n".join(lines))
     print(f"{subcommand}: {'FAIL' if gated else 'ok'} "
-          f"(gate {_fmt(gate_value)}{'' if tolerance is None else ' vs tol ' + _fmt(float(tolerance))}) "
+          f"(gate {_fmt(gate_value)}{'' if tolerance is None else ' vs tol ' + _fmt(tolerance)}) "
           f"-> {run.path}")
     return 1 if gated else 0
 

@@ -39,8 +39,8 @@ from .holobasis import RawBasis, WeightFn
 __all__ = ["GramMatrix", "OrthonormalBasis", "KernelEvaluator",
            "gram_matrix", "orthonormalize"]
 
-# nodes per block of the dense Gram: on a 78,508-node rule with 61
-# elements, blocks of 1024 to 8192 nodes time alike and 16384 is slower
+# nodes per block of the dense Gram and of node values: on a 78,508-node
+# rule with 61 elements, blocks of 1024 to 8192 nodes time alike
 GRAM_BLOCK = 4096
 
 
@@ -254,11 +254,12 @@ class KernelEvaluator:
     """Evaluates the kernel of an orthonormal system and its
     anti-holomorphic derivatives.
 
-    Evaluation methods are pure and safe to call concurrently.  The raw
-    node matrix that only the quadrature checks read is built once, on
-    first use; the checks multiply it by (n_raw x k) coefficient products
-    for their k points or functions, never forming the orthonormal node
-    matrix.
+    Evaluation methods are pure and safe to call concurrently.  The
+    quadrature checks read node values only through ``node_values``, of
+    coefficient rows over the raw basis (``coeffs[:m]``, ``kernel_rows``),
+    one block of nodes at a time; ``reproduce`` and
+    ``self_reproduction_residual`` are the check arithmetic on the node
+    rows handed to them.
     """
 
     def __init__(self, onb: OrthonormalBasis):
@@ -267,25 +268,24 @@ class KernelEvaluator:
         self._node_nu = np.asarray(onb.weight(onb.rule.nodes), dtype=float)
 
     @functools.cached_property
-    def _node_raw(self) -> np.ndarray:
-        return self.onb.raw.values(self.rule.nodes)
-
-    @functools.cached_property
     def _node_phi(self) -> np.ndarray:
-        return self._node_raw @ self.onb.coeffs.T
+        return self.onb.phi_values(self.rule.nodes)
 
-    # The node products below run as (k x n_raw)(n_raw x n_nodes) against
-    # the contiguous transpose of the raw matrix, which BLAS does faster
-    # than the (n_nodes x n_raw)(n_raw x k) form for small k.
+    def kernel_rows(self, pts) -> np.ndarray:
+        """(k, n_raw) raw coefficients of the k kernel columns K(., P_j)."""
+        p = self.onb.phi_values(np.atleast_1d(np.asarray(pts, dtype=complex)))
+        return p.conj() @ self.onb.coeffs
 
-    def node_phi_columns(self, m: int) -> np.ndarray:
-        """(n_nodes, m) values of the first m orthonormal elements at the nodes."""
-        return (self.onb.coeffs[:m] @ self._node_raw.T).T
-
-    def _node_kernel(self, phi_pts) -> np.ndarray:
-        """(k, n_nodes) matrix whose row j is K(nodes, P_j), from the
-        (k, retained) orthonormal values phi(P) of k points."""
-        return (phi_pts.conj() @ self.onb.coeffs) @ self._node_raw.T
+    def node_values(self, rows) -> np.ndarray:
+        """(k, n_nodes) values at the nodes of the k functions rows @ raw
+        for (k, n_raw) coefficient rows: one evaluation of the raw basis
+        and one (k x n_raw)(n_raw x block) product per GRAM_BLOCK nodes."""
+        nodes = self.rule.nodes
+        out = np.empty((len(rows), len(nodes)), dtype=complex)
+        for start in range(0, len(nodes), GRAM_BLOCK):
+            block = slice(start, start + GRAM_BLOCK)
+            out[:, block] = rows @ self.onb.raw.values(nodes[block]).T
+        return out
 
     def eval_kernel(self, z, w) -> complex:
         """K(z, w), one entry of eval_kernel_grid.  Exactly
@@ -309,40 +309,33 @@ class KernelEvaluator:
         pw = self.onb.phi_deriv_values(np.atleast_1d(np.asarray(ws, dtype=complex)), beta)
         return pz @ pw.conj().T
 
-    def reproduce(self, f_samples, zeta):
+    def reproduce(self, f_nodes, k_nodes):
         """Discrete reproducing integral
-        sum_q w_q f(node_q) conj(K(node_q, zeta)) nu(node_q).
+        sum_q w_q f(node_q) conj(K(node_q, zeta)) nu(node_q) against the
+        node row ``k_nodes`` of K(., zeta).
 
         Returns f(zeta) when f lies in the spanned space, the projection
-        value otherwise.  ``f_samples`` is one function's node values
-        (n_nodes,), giving a complex, or the columns of an (n_nodes, m)
-        matrix, giving m values from one kernel column K(., zeta).
+        value otherwise.  ``f_nodes`` is one function's node values
+        (n_nodes,), giving a complex, or m functions' node rows
+        (m, n_nodes), giving m values.
         """
-        f = np.asarray(f_samples)
-        pz = self.onb.phi_values(np.asarray(zeta, dtype=complex))
-        k_nodes = self._node_kernel(pz[None, :])[0]
-        terms = (self.rule.weights * self._node_nu) * f.reshape(len(k_nodes), -1).T
+        f = np.asarray(f_nodes)
+        terms = (self.rule.weights * self._node_nu) * f.reshape(-1, len(k_nodes))
         # a 1-D sum per function: a 2-D row sum would round differently
         vals = np.array([np.sum(row) for row in terms * k_nodes.conj()])
         return complex(vals[0]) if f.ndim == 1 else vals
 
-    def self_reproduction_residual(self, z, zeta):
-        """|K(z, zeta) - sum_q w_q K(node_q, zeta) conj(K(node_q, z)) nu_q|;
-        an exact identity for the discrete orthonormal system.
-
-        Scalar z and zeta give a float; arrays give the (len(z),
-        len(zeta)) residual matrix from one node-matrix product."""
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        n = len(zs)
-        p = self.onb.phi_values(np.concatenate([zs, zetas]))
-        k_nodes = self._node_kernel(p)
-        wk = (self.rule.weights * self._node_nu) * k_nodes[n:]
-        kc = k_nodes[:n].conj()
+    def self_reproduction_residual(self, pts, k_nodes) -> np.ndarray:
+        """(n, n) matrix of |K(P_i, P_j) - sum_q w_q K(node_q, P_j)
+        conj(K(node_q, P_i)) nu_q| for n points P and their kernel node
+        rows ``k_nodes`` (n, n_nodes); an exact identity for the discrete
+        orthonormal system."""
+        p = self.onb.phi_values(np.atleast_1d(np.asarray(pts, dtype=complex)))
+        wk = (self.rule.weights * self._node_nu) * k_nodes
+        kc = k_nodes.conj()
         # 1-D sums per entry, so an entry does not depend on the batch size
-        res = np.array([[abs(np.sum(p[i] * p[n + j].conj()) - np.sum(wk[j] * kc[i]))
-                         for j in range(len(zetas))] for i in range(n)])
-        return float(res[0, 0]) if np.ndim(z) == np.ndim(zeta) == 0 else res
+        return np.array([[abs(np.sum(p[i] * p[j].conj()) - np.sum(wk[j] * kc[i]))
+                          for j in range(len(p))] for i in range(len(p))])
 
     def kernel_primitive(self, xi, z) -> complex:
         """Kernel primitive M(z, xi) with M(xi, xi) = 0, so that

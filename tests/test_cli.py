@@ -388,9 +388,11 @@ def test_oracle_grid_follows_seed(tmp_path, monkeypatch):
     assert not np.array_equal(grids[(1, "oracle.grid.w")], grids[(2, "oracle.grid.w")])
 
 
-def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
+def multi_block_ellipse_checks():
+    """The invariants preset's checks on the ellipse x^2 + 2 y^2 < 0.98 with
+    about 12,500 midpoint nodes (three node blocks and a remainder) and
+    41 raw elements; returns (config, evaluator, check sample grid)."""
     from redbergman import cli
-    from redbergman.holobasis import RawBasis
 
     cfg = yaml.safe_load(cli.preset_text("invariants_disc"))
     cfg.update(
@@ -398,17 +400,28 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
                 "inequalities": [{"poly": [[2, 0, 1.0], [0, 2, 2.0], [0, 0, -0.98]],
                                   "sign": "<"}],
                 "holes": []},
-        quadrature={"n_grid": 64},
+        quadrature={"n_grid": 128},
     )
-    cfg["basis"]["degree"] = 12
+    cfg["basis"]["degree"] = 40
+    assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
     _, _, orthonormal, _ = cli.build_side(cfg)
     ev = cli.KernelEvaluator(orthonormal(cli.build_weight(cfg)))
-    n_nodes = len(ev.rule.nodes)
+    return cfg, ev, cli.build_grid(cfg, "grid.z")
+
+
+def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
+    from redbergman import cli
+    from redbergman.holobasis import RawBasis
+    from redbergman.kernel import GRAM_BLOCK
+
+    cfg, ev, zs = multi_block_ellipse_checks()
+    nodes = ev.rule.nodes
+    assert len(nodes) > 3 * GRAM_BLOCK
     calls = []
     real = RawBasis.values
 
     def counting(self, pts):
-        calls.append(np.shape(pts))
+        calls.append(pts)
         return real(self, pts)
 
     scalar_calls = []
@@ -421,10 +434,29 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(RawBasis, "values", counting)
     monkeypatch.setattr(cli.KernelEvaluator, "eval_kernel", counting_scalar)
     run = cli.RunDir(str(tmp_path), "kernel", cfg)
-    assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
-    assert cli._run_checks(cfg, ev, cli.build_grid(cfg, "grid.z"), run) == 0.0
-    assert calls.count((n_nodes,)) == 1
+    assert cli._run_checks(cfg, ev, zs, run) == 0.0
+    assert max(np.size(pts) for pts in calls) <= GRAM_BLOCK
+    # the node blocks, in call order, are the nodes, each exactly once
+    node_blocks = [pts for pts in calls if np.shares_memory(pts, nodes)]
+    assert len(node_blocks) == -(-len(nodes) // GRAM_BLOCK)
+    assert np.array_equal(np.concatenate(node_blocks), nodes)
     assert scalar_calls == []
+
+
+def test_checks_never_hold_a_node_by_basis_array(tmp_path):
+    import tracemalloc
+
+    from redbergman import cli
+
+    cfg, ev, zs = multi_block_ellipse_checks()
+    run = cli.RunDir(str(tmp_path), "kernel", cfg)
+    tracemalloc.start()
+    try:
+        assert cli._run_checks(cfg, ev, zs, run) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(ev.rule.nodes) * len(ev.onb.raw) * 16
 
 
 @pytest.mark.parametrize("preset, sides", [
@@ -487,6 +519,45 @@ def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys,
     cfg.update(overrides)
     assert run_cli(tmp_path, "kernel", write_cfg(tmp_path, yaml.safe_dump(cfg))) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, override, key", [
+    ("kernel", ANNULUS_CFG, "basis.n_min=a", "basis.n_min"),
+    ("kernel", ANNULUS_CFG, "basis.n_max=[6]", "basis.n_max"),
+    ("kernel", ANNULUS_CFG, "basis.n_min=7", "basis"),
+    ("adjoint", preset_text("adjoint_disc"), "adjoint.n_elements=x", "adjoint.n_elements"),
+    ("kernel", DISC_KERNEL_CFG, "checks.conjugate_symmetry=abc", "checks.conjugate_symmetry"),
+    ("kernel", DISC_KERNEL_CFG, "drop_tol=x", "drop_tol"),
+    ("kernel", DISC_KERNEL_CFG, "drop_tol=0", "drop_tol"),
+    ("kernel", DISC_KERNEL_CFG, "tolerance=x", "tolerance"),
+], ids=["n_min-text", "n_max-list", "n_min-above-n_max", "n_elements-text",
+        "check-tolerance-text", "drop_tol-text", "drop_tol-zero", "tolerance-text"])
+def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, command, text,
+                                                    override, key):
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, text), "--set", override) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_adjoint_lambda_residual_is_in_the_weighted_inner_product(tmp_path):
+    """A constant weight c scales both orthonormal systems by 1/sqrt(c) and
+    the inner product by c, so the lambda residual does not depend on c.
+    The coarse source rule makes it a quadrature error, not rounding."""
+    cfg = yaml.safe_load(preset_text("adjoint_disc"))
+    for key in ("run", "tolerance", "correspondence"):
+        del cfg[key]
+    cfg["quadrature"] = {"n_radial": 4, "n_angular": 9}
+    residual = {}
+    for value in (1.0, 100.0):
+        cfg["weight"] = {"type": "constant", "value": value}
+        out = tmp_path / f"out-{value}"
+        assert main(["--output-dir", str(out), "adjoint",
+                     write_cfg(tmp_path, yaml.safe_dump(cfg))]) == 0
+        (summary,) = out.glob("*/summary.txt")
+        fields = dict(line.split(" = ") for line in summary.read_text().splitlines())
+        residual[value] = float(fields["lambda_max_residual"])
+    assert residual[1.0] > 0.1
+    assert residual[100.0] == pytest.approx(residual[1.0], rel=1e-12)
 
 
 def csv_writer_oracle(header, rows):

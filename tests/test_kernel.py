@@ -482,31 +482,40 @@ def test_annulus_full_minus_reduced_is_residue_term():
     assert abs(diff - expect) / abs(expect) < 1e-5
 
 
+def kernel_nodes(ev, pts):
+    """(len(pts), n_nodes) node rows K(nodes, P), as the CLI checks read them."""
+    return ev.node_values(ev.kernel_rows(pts))
+
+
+def self_residual(ev, z, zeta):
+    pts = np.array([z, zeta], dtype=complex)
+    return ev.self_reproduction_residual(pts, kernel_nodes(ev, pts))[0, 1]
+
+
 def test_reproduce_on_basis_element_and_constant():
     ev = disc_evaluator(degree=10, n_radial=24, n_angular=48)
     nodes = ev.rule.nodes
     phi3 = ev.onb.phi_function(3)
-    assert ev.reproduce(phi3(nodes), 0.4) == pytest.approx(complex(phi3(np.asarray(0.4))),
-                                                           abs=1e-6)
-    zeta = 0.2 + 0.1j
-    assert ev.reproduce(np.ones(len(nodes)), zeta) == pytest.approx(1.0, abs=1e-6)
+    k = kernel_nodes(ev, [0.4, 0.2 + 0.1j])
+    assert ev.reproduce(phi3(nodes), k[0]) == pytest.approx(complex(phi3(np.asarray(0.4))),
+                                                            abs=1e-6)
+    assert ev.reproduce(np.ones(len(nodes)), k[1]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_reproduce_outside_reduced_space_gives_projection():
     ev = annulus_evaluator()
     nodes = ev.rule.nodes
     zeta = 0.7
-    val = ev.reproduce(1.0 / nodes, zeta)
+    val = ev.reproduce(1.0 / nodes, kernel_nodes(ev, zeta)[0])
     # z^-1 is orthogonal to every retained power, so the projection vanishes
     assert abs(val) < 1e-6
     assert abs(val - 1.0 / zeta) > 0.1
 
 
 def test_self_reproduction_residuals():
-    assert disc_evaluator().self_reproduction_residual(0.3, 0.5) < 1e-8
-    assert annulus_evaluator().self_reproduction_residual(0.7, 0.6) < 1e-8
-    wev = disc_evaluator(weight=PowerWeight(1.0))
-    assert wev.self_reproduction_residual(0.2, 0.4j) < 1e-8
+    assert self_residual(disc_evaluator(), 0.3, 0.5) < 1e-8
+    assert self_residual(annulus_evaluator(), 0.7, 0.6) < 1e-8
+    assert self_residual(disc_evaluator(weight=PowerWeight(1.0)), 0.2, 0.4j) < 1e-8
 
 
 def test_conjugate_symmetry_and_positivity():
@@ -541,7 +550,7 @@ def test_kernel_primitive_checks():
         fd = (ev.kernel_primitive(xi, z + h) - ev.kernel_primitive(xi, z - h)) / (2 * h)
         assert abs(fd - ev.eval_kernel(z, xi)) / abs(ev.eval_kernel(z, xi)) < 1e-6
     # Dirichlet pairing <f, M(., xi)> = int f' conj(K(., xi)) dA = f'(xi) for f = z^2
-    pairing = ev.reproduce(2.0 * ev.rule.nodes, xi)
+    pairing = ev.reproduce(2.0 * ev.rule.nodes, kernel_nodes(ev, xi)[0])
     assert pairing == pytest.approx(2.0 * xi, abs=1e-5)
 
 
@@ -568,17 +577,17 @@ def test_generic_domain_kernel_invariants():
     onb = orthonormalize(monomial_basis(0.5 + 0.5j, 6, dom), rule, ONE)
     ev = KernelEvaluator(onb)
     zeta = 0.4 + 0.6j
-    assert abs(ev.reproduce(np.ones(len(rule)), zeta) - 1.0) < 1e-10
-    assert ev.self_reproduction_residual(0.3 + 0.3j, 0.7 + 0.2j) < 1e-10
+    assert abs(ev.reproduce(np.ones(len(rule)), kernel_nodes(ev, zeta)[0]) - 1.0) < 1e-10
+    assert self_residual(ev, 0.3 + 0.3j, 0.7 + 0.2j) < 1e-10
     assert ev.eval_kernel(zeta, zeta).real > 0
     a, b = 0.2 + 0.7j, 0.8 + 0.1j
     assert ev.eval_kernel(a, b) == np.conj(ev.eval_kernel(b, a))
 
 
-def ellipse_evaluator():
+def ellipse_evaluator(n_grid=64):
     dom = GenericDomain(inside=lambda z: z.real ** 2 + 2.0 * z.imag ** 2 < 0.98,
                         bbox=(-1.0, 1.0, -0.71, 0.71))
-    rule = build_generic_quadrature(dom, 64)
+    rule = build_generic_quadrature(dom, n_grid)
     onb = orthonormalize(monomial_basis(0.0, 12, dom), rule, ONE)
     return KernelEvaluator(onb)
 
@@ -595,11 +604,9 @@ CHECK_POINTS = np.array([0.3, -0.2 + 0.4j, 0.5j, -0.45 - 0.1j, 0.1 + 0.05j])
 @pytest.mark.parametrize("case", BATCH_EVALUATORS)
 def test_batched_self_reproduction_matches_scalar_calls(case):
     ev = BATCH_EVALUATORS[case]()
-    zs, zetas = CHECK_POINTS, CHECK_POINTS[1:][::-1]
-    got = ev.self_reproduction_residual(zs, zetas)
-    want = np.array([[ev.self_reproduction_residual(a, b) for b in zetas] for a in zs])
-    assert got.shape == (len(zs), len(zetas))
-    assert isinstance(ev.self_reproduction_residual(zs[0], zetas[0]), float)
+    got = ev.self_reproduction_residual(CHECK_POINTS, kernel_nodes(ev, CHECK_POINTS))
+    want = np.array([[self_residual(ev, a, b) for b in CHECK_POINTS] for a in CHECK_POINTS])
+    assert got.shape == (len(CHECK_POINTS), len(CHECK_POINTS))
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -607,12 +614,13 @@ def test_batched_self_reproduction_matches_scalar_calls(case):
 def test_batched_reproduce_matches_column_calls(case):
     ev = BATCH_EVALUATORS[case]()
     nodes = ev.rule.nodes
-    f = np.column_stack([ev._node_phi[:, :3], np.ones(len(nodes)), 2.0 * nodes, nodes ** 7])
-    zeta = 0.25 - 0.3j
-    got = ev.reproduce(f, zeta)
-    want = np.array([ev.reproduce(f[:, j], zeta) for j in range(f.shape[1])])
-    assert got.shape == (f.shape[1],)
-    assert isinstance(ev.reproduce(f[:, 0], zeta), complex)
+    f = np.vstack([ev.node_values(ev.onb.coeffs[:3]), np.ones(len(nodes)), 2.0 * nodes,
+                   nodes ** 7])
+    k = kernel_nodes(ev, 0.25 - 0.3j)[0]
+    got = ev.reproduce(f, k)
+    want = np.array([ev.reproduce(row, k) for row in f])
+    assert got.shape == (len(f),)
+    assert isinstance(ev.reproduce(f[0], k), complex)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -620,6 +628,8 @@ NODE_EVALUATORS = {
     "disc": lambda: disc_evaluator_shared(),
     "annulus": lambda: annulus_evaluator(n_radial=24, n_angular=64),
     "ellipse": ellipse_evaluator,
+    # about 12,500 nodes: three full node blocks and a remainder
+    "ellipse in blocks": lambda: ellipse_evaluator(n_grid=128),
 }
 # inside the disc, the annulus 0.5 < |z| < 1 and the ellipse x^2 + 2 y^2 < 0.98
 RING_POINTS = np.array([0.6 + 0.2j, -0.55 + 0.3j, 0.1 - 0.62j, -0.4 - 0.45j])
@@ -629,24 +639,22 @@ RING_POINTS = np.array([0.6 + 0.2j, -0.55 + 0.3j, 0.1 - 0.62j, -0.4 - 0.45j])
 def test_node_kernel_from_raw_values_matches_node_matrix(case):
     ev = NODE_EVALUATORS[case]()
     nodes = ev.rule.nodes
-    f = np.column_stack([ev.node_phi_columns(3), np.ones(len(nodes)), 2.0 * nodes])
-    zeta = RING_POINTS[0]
-    got_k = ev._node_kernel(ev.onb.phi_values(RING_POINTS))
-    got_repro = ev.reproduce(f, zeta)
-    got_self = ev.self_reproduction_residual(RING_POINTS, RING_POINTS[::-1])
+    got_k = kernel_nodes(ev, RING_POINTS)
+    f = np.vstack([ev.node_values(ev.onb.coeffs[:3]), np.ones(len(nodes)), 2.0 * nodes])
+    got_repro = ev.reproduce(f, got_k[0])
+    got_self = ev.self_reproduction_residual(RING_POINTS, got_k)
     assert "_node_phi" not in ev.__dict__
     # the same quantities through the orthonormal node matrix
     phi = ev._node_phi
     wq = ev.rule.weights * ev._node_nu
-    p = ev.onb.phi_values(np.concatenate([RING_POINTS, RING_POINTS[::-1]]))
+    p = ev.onb.phi_values(RING_POINTS)
     k = p.conj() @ phi.T
-    assert np.max(np.abs(got_k - k[:4])) <= 1e-14 * np.max(np.abs(k))
-    assert np.max(np.abs(f[:, :3] - phi[:, :3])) <= 1e-14 * np.max(np.abs(phi[:, :3]))
-    want_repro = np.array([np.sum(row) for row in (wq * f.T) * k[0].conj()])
+    assert np.max(np.abs(got_k - k)) <= 1e-14 * np.max(np.abs(k))
+    assert np.max(np.abs(f[:3] - phi[:, :3].T)) <= 1e-14 * np.max(np.abs(phi[:, :3]))
+    want_repro = np.array([np.sum(row) for row in (wq * f) * k[0].conj()])
     assert np.max(np.abs(got_repro - want_repro)) <= 1e-14 * np.max(np.abs(want_repro))
     n = len(RING_POINTS)
-    want_self = np.array([[abs(np.sum(p[i] * p[n + j].conj())
-                               - np.sum(wq * k[n + j] * k[i].conj()))
+    want_self = np.array([[abs(np.sum(p[i] * p[j].conj()) - np.sum(wq * k[j] * k[i].conj()))
                            for j in range(n)] for i in range(n)])
     assert np.max(np.abs(got_self - want_self)) <= 1e-14
 
