@@ -60,9 +60,19 @@ DEFAULT_OUT = "redbergman-out"
 KNOWN_CHECKS = ("conjugate_symmetry", "diagonal_positivity", "reproduce_basis",
                 "self_reproduction", "dirichlet_pairing")
 
+# rows per write of a CSV body: one %-format per block keeps the strings
+# held while writing to a few tens of KB, where the whole body would be MBs
+CSV_BLOCK_ROWS = 256
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# libyaml's emitter when PyYAML was built with it, about 4x faster than
+# PyYAML's own; the two write the same bytes for configs whose strings are
+# printable ASCII and whose keys have 1 to 122 characters (README)
+CONFIG_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+# a float's text in summaries and CSVs: 17 significant digits read back to
+# the same float; a bound method, so map() formats a column at C level
+_fmt = "%.17g".__mod__
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +345,23 @@ def write_csv(path, header, table):
     each value as ``.17g``.  Each column formats each distinct bit
     pattern once, so 0.0 and -0.0 keep their own strings."""
     table = np.asarray(table, dtype=np.float64)
-    cols = []
-    for bits in table.view(np.int64).T:
+    # every column's distinct strings in one list; index[r, c] is the
+    # position of cell (r, c)'s string in it
+    strs = []
+    index = np.empty(table.shape, dtype=np.intp)
+    for c, bits in enumerate(table.view(np.int64).T):
         distinct, inverse = np.unique(bits, return_inverse=True)
-        strs = np.array([_fmt(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-        cols.append(strs[inverse].tolist())
+        index[:, c] = inverse + len(strs)
+        strs += map(_fmt, distinct.view(np.float64).tolist())
+    strs = np.array(strs, dtype=object)
     row = ",".join(["%s"] * len(header)) + "\r\n"
+    block = row * CSV_BLOCK_ROWS
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(row.__mod__, zip(*cols)))
+        for start in range(0, len(index), CSV_BLOCK_ROWS):
+            cells = index[start:start + CSV_BLOCK_ROWS]
+            template = block if len(cells) == CSV_BLOCK_ROWS else row * len(cells)
+            fh.write(template % tuple(strs[cells.ravel()].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -380,29 +398,33 @@ def _require_unit_disc(dom, what):
         raise ConfigError(f"{what} requires the unit disc domain")
 
 
-def _run_checks(cfg, ev, zs, run):
-    """Structural-invariant checks, each gated on its own tolerance.
-
-    ``checks`` maps check name -> tolerance.  Returns 0.0 when every
-    check passes and inf otherwise, so any overall ``tolerance`` gates
-    the run on check success.
-    """
+def build_checks(cfg):
+    """The config's ``checks`` mapping as check name -> float tolerance."""
     checks = cfg_get(cfg, "checks", {})
     if not isinstance(checks, dict):
         raise ConfigError("'checks' must map check names to tolerances")
     for name in checks:
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-    tols = {name: _convert(float, tol, f"checks.{name}") for name, tol in checks.items()}
+    return {name: _convert(float, tol, f"checks.{name}") for name, tol in checks.items()}
+
+
+def _run_checks(tols, ev, zs, run):
+    """Structural-invariant checks, each gated on its own tolerance.
+
+    ``tols`` maps check name -> tolerance (``build_checks``).  Returns
+    0.0 when every check passes and inf otherwise, so any overall
+    ``tolerance`` gates the run on check success.
+    """
     sample = zs[:: max(1, len(zs) // 8)][:8]
-    if {"conjugate_symmetry", "diagonal_positivity"} & set(checks):
+    if {"conjugate_symmetry", "diagonal_positivity"} & tols.keys():
         k = ev.eval_kernel_grid(sample, sample)
     # every node sum reads its rows from one node_values pass: the first m
     # orthonormal elements, K(., zeta) and K(., P) for the points P of sample[:4]
     zeta = complex(sample[len(sample) // 2])
-    m = min(5, ev.onb.retained_count) if "reproduce_basis" in checks else 0
-    zetas = [zeta] if {"reproduce_basis", "dirichlet_pairing"} & set(checks) else []
-    self_pts = sample[:4] if "self_reproduction" in checks else sample[:0]
+    m = min(5, ev.onb.retained_count) if "reproduce_basis" in tols else 0
+    zetas = [zeta] if {"reproduce_basis", "dirichlet_pairing"} & tols.keys() else []
+    self_pts = sample[:4] if "self_reproduction" in tols else sample[:0]
     rows = np.vstack([ev.onb.coeffs[:m], ev.kernel_rows(np.r_[zetas, self_pts])])
     f, k_zeta, k_self = np.split(ev.node_values(rows) if len(rows) else rows,
                                  [m, m + len(zetas)])
@@ -433,6 +455,7 @@ def _run_checks(cfg, ev, zs, run):
 # pipelines
 
 def run_kernel(cfg, run: RunDir):
+    tols = build_checks(cfg)
     _, _, orthonormal, n_raw = build_side(cfg)
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
@@ -457,7 +480,7 @@ def run_kernel(cfg, run: RunDir):
         rel = float(np.max(np.abs(got - want) / np.abs(want)))
         run.add(oracle_max_rel_err=rel)
         gate = max(gate, rel)
-    gate = max(gate, _run_checks(cfg, ev, zs, run))
+    gate = max(gate, _run_checks(tols, ev, zs, run))
     return gate
 
 
@@ -626,7 +649,7 @@ def preset_text(name):
 def execute(subcommand, cfg, out_root, verbose=False):
     run = RunDir(out_root, subcommand, cfg)
     with open(run.file("config.yaml"), "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=True)
+        yaml.dump(cfg, fh, Dumper=CONFIG_DUMPER, sort_keys=True)
     run.add(seed=cfg_get(cfg, "seed", 0))
     tolerance = cfg_get(cfg, "tolerance", None)
     if tolerance is not None:

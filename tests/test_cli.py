@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import redbergman
-from redbergman.cli import main, preset_names, preset_text
+from redbergman.cli import CSV_BLOCK_ROWS, main, preset_names, preset_text
 
 DISC_KERNEL_CFG = """
 run: kernel
@@ -210,8 +210,9 @@ def test_output_env_var_and_config_echo(tmp_path, monkeypatch):
     assert main(["kernel", cfg]) == 0
     dirs = os.listdir(tmp_path / "envout")
     assert len(dirs) == 1
-    echoed = yaml.safe_load((tmp_path / "envout" / dirs[0] / "config.yaml").read_text())
-    assert echoed["basis"]["degree"] == 12
+    echoed = (tmp_path / "envout" / dirs[0] / "config.yaml").read_text()
+    assert yaml.safe_load(echoed)["basis"]["degree"] == 12
+    assert echoed == yaml.safe_dump(yaml.safe_load(DISC_KERNEL_CFG), sort_keys=True)
 
 
 def test_numerical_failure_exit_code_and_summary(tmp_path):
@@ -434,7 +435,7 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(RawBasis, "values", counting)
     monkeypatch.setattr(cli.KernelEvaluator, "eval_kernel", counting_scalar)
     run = cli.RunDir(str(tmp_path), "kernel", cfg)
-    assert cli._run_checks(cfg, ev, zs, run) == 0.0
+    assert cli._run_checks(cli.build_checks(cfg), ev, zs, run) == 0.0
     assert max(np.size(pts) for pts in calls) <= GRAM_BLOCK
     # the node blocks, in call order, are the nodes, each exactly once
     node_blocks = [pts for pts in calls if np.shares_memory(pts, nodes)]
@@ -452,7 +453,7 @@ def test_checks_never_hold_a_node_by_basis_array(tmp_path):
     run = cli.RunDir(str(tmp_path), "kernel", cfg)
     tracemalloc.start()
     try:
-        assert cli._run_checks(cfg, ev, zs, run) == 0.0
+        assert cli._run_checks(cli.build_checks(cfg), ev, zs, run) == 0.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -539,6 +540,32 @@ def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, command, t
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("checks.conjugate_symetry=1.0e-12", "conjugate_symetry"),
+    ("checks.conjugate_symmetry=abc", "checks.conjugate_symmetry"),
+], ids=["misspelt-check", "tolerance-text"])
+def test_checks_are_config_errors_before_the_numerics(tmp_path, capsys, monkeypatch,
+                                                      override, key):
+    from redbergman import cli
+
+    calls = []
+    real = cli.orthonormalize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "orthonormalize", counting)
+    cfg = write_cfg(tmp_path, DISC_KERNEL_CFG)
+    assert run_cli(tmp_path, "kernel", cfg, "--set", "checks.conjugate_symmetry=1.0e-12") == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run_cli(tmp_path, "kernel", cfg, "--set", override) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert calls == []
+
+
 def test_adjoint_lambda_residual_is_in_the_weighted_inner_product(tmp_path):
     """A constant weight c scales both orthonormal systems by 1/sqrt(c) and
     the inner product by c, so the lambda residual does not depend on c.
@@ -600,6 +627,65 @@ def test_write_csv_matches_csv_writer(tmp_path, table):
     path = tmp_path / "t.csv"
     write_csv(path, header, table)
     assert path.read_bytes() == csv_writer_oracle(header, table.tolist())
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                    CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7],
+                         ids=["0", "1", "B-1", "B", "B+1", "3B+7"])
+def test_write_csv_row_blocks_match_csv_writer(tmp_path, n_rows):
+    """Tables around the row-block size B: every block boundary keeps each
+    row whole and in order."""
+    from redbergman.cli import write_csv
+
+    rows = np.arange(n_rows)
+    distinct = np.random.default_rng(n_rows).standard_normal(n_rows)
+    grid = np.linspace(-0.9, 0.9, 7)[rows % 7]
+    special = np.resize(np.array(SPECIAL_FLOATS), n_rows)
+    table = np.column_stack((distinct, grid, special))
+    assert len(np.unique(distinct)) == n_rows
+    header = ["distinct", "grid", "special"]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, table)
+    assert path.read_bytes() == csv_writer_oracle(header, table.tolist())
+
+
+PRINTABLE_ASCII = "".join(map(chr, range(32, 127)))
+# outside printable ASCII the two emitters differ: libyaml writes keys of
+# 123 to 128 characters as simple keys where PyYAML writes "? " explicit
+# keys (an empty key likewise), and the two wrap long escaped strings
+# (tabs, line breaks, non-ASCII) at different places
+config_keys = st.text(PRINTABLE_ASCII, min_size=1, max_size=122)
+config_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                  | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+                  | st.text(PRINTABLE_ASCII, max_size=400))
+config_values = st.recursive(
+    config_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(config_keys, inner, max_size=4),
+    max_leaves=20)
+config_mappings = st.dictionaries(config_keys, config_values, max_size=6)
+needs_libyaml = pytest.mark.skipif(not getattr(yaml, "__with_libyaml__", False),
+                                   reason="PyYAML built without libyaml")
+
+
+@needs_libyaml
+def test_libyaml_dumper_matches_pyyaml_on_presets():
+    for name in preset_names():
+        cfg = yaml.safe_load(preset_text(name))
+        assert (yaml.dump(cfg, Dumper=yaml.CSafeDumper, sort_keys=True)
+                == yaml.safe_dump(cfg, sort_keys=True)), name
+
+
+@needs_libyaml
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cfg=config_mappings)
+@example(cfg={"k" * 122: {"'#: " * 30: ["x y" * 100, "- '\"a\\ " * 60, "#x: " * 50]}})
+@example(cfg={"n": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, None, True]})
+def test_libyaml_dumper_matches_pyyaml_on_ascii_configs(cfg):
+    """The config echo's bytes do not depend on libyaml for configs whose
+    strings are printable ASCII and whose keys have 1 to 122 characters;
+    the explicit example's long strings cross the 80-column wrap."""
+    assert (yaml.dump(cfg, Dumper=yaml.CSafeDumper, sort_keys=True)
+            == yaml.safe_dump(cfg, sort_keys=True))
 
 
 def test_kernel_and_recover_csv_rows_keep_grid_order(tmp_path, monkeypatch):

@@ -664,7 +664,7 @@ def test_checks_on_a_generic_domain_never_form_the_node_matrix(tmp_path):
     cfg = yaml.safe_load(cli.preset_text("invariants_disc"))
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
     run = cli.RunDir(str(tmp_path), "kernel", cfg)
-    assert cli._run_checks(cfg, ev, RING_POINTS, run) == 0.0
+    assert cli._run_checks(cli.build_checks(cfg), ev, RING_POINTS, run) == 0.0
     assert all(run.summary[f"check_{name}_ok"] for name in cli.KNOWN_CHECKS)
     assert "_node_phi" not in ev.__dict__
 
