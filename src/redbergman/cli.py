@@ -51,7 +51,6 @@ from .transform import (
     operator_bound_check,
     recover_map,
     verify_correspondence,
-    verify_proper,
 )
 
 OUTPUT_ENV = "REDBERGMAN_OUT"
@@ -68,6 +67,8 @@ CSV_BLOCK_ROWS = 256
 # PyYAML's own; the two write the same bytes for configs whose strings are
 # printable ASCII and whose keys have 1 to 122 characters (README)
 CONFIG_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# libyaml's parser likewise: about 7x faster than PyYAML's, same data
+CONFIG_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # a float's text in summaries and CSVs: 17 significant digits read back to
@@ -76,225 +77,235 @@ _fmt = "%.17g".__mod__
 
 
 # ---------------------------------------------------------------------------
-# config access helpers
+# config access
 
 _MISSING = object()
+POSITIVE_INT = "positive int"
+# what each kind of cfg_get accepts
+_WANTED = {float: "a number", complex: "a number or [re, im] pair", int: "an integer",
+           POSITIVE_INT: "a positive integer", bool: "true or false"}
 
 
-def cfg_get(cfg, path, default=_MISSING):
+def _number(value):
+    # a number may be text: PyYAML reads one without a dot, such as 1e-6, as a string
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError
+    return float(value)
+
+
+def _read(value, path, kind):
+    try:
+        if kind is float:
+            return _number(value)
+        if kind is complex:
+            re, im = value if isinstance(value, (list, tuple)) else (value, 0.0)
+            return complex(_number(re), _number(im))
+        # a bool is an int to Python, but never a number here
+        if (isinstance(value, bool) != (kind is bool) or not isinstance(value, int)
+                or (kind is POSITIVE_INT and value < 1)):
+            raise TypeError
+        return value
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{path}' must be {_WANTED[kind]}, got {value!r}") from None
+
+
+def cfg_get(cfg, path, default=_MISSING, kind=None):
+    """The field at the dotted ``path`` of ``cfg``, read as ``kind``: float,
+    int, POSITIVE_INT, complex, bool, or None for the value as it is.  A
+    field that is absent or null reads as ``default``; without a default
+    it is a config error."""
     node = cfg
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+        node = node.get(part) if isinstance(node, dict) else None
+        if node is None:
             if default is _MISSING:
                 raise ConfigError(f"missing config field '{path}'")
             return default
-        node = node[part]
-    return node
+    return node if kind is None else _read(node, path, kind)
 
 
-def as_complex(value, path):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"'{path}' must be a number or [re, im] pair, got {value!r}")
+def cfg_list(cfg, path, kind, default=_MISSING):
+    """The list at ``path`` with each entry read as ``kind``; an entry's
+    errors name it as ``path[i]``."""
+    values = cfg_get(cfg, path, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"'{path}' must be a list, got {values!r}")
+    return values if kind is None else [_read(v, f"{path}[{i}]", kind)
+                                        for i, v in enumerate(values)]
 
 
-def _convert(kind, value, path):
-    """kind(value) for kind int or float; a value it rejects is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{path}' must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}") from None
-
-
-def _positive_int(value, path):
-    if not isinstance(value, int) or value < 1:
-        raise ConfigError(f"'{path}' must be a positive integer, got {value!r}")
-    return value
+def _poly_coeffs(terms, path, kind):
+    """The ascending array c of the polynomial sum of c[i, j] x^i y^j given
+    at ``path`` as terms [i, j, coefficient], the coefficient read as
+    ``kind`` (a complex one may be written re, im)."""
+    if not (isinstance(terms, (list, tuple)) and terms):
+        raise ConfigError(f"'{path}' must be a non-empty list of [i, j, coefficient]")
+    coeffs = {}
+    for n, term in enumerate(terms):
+        at = f"{path}[{n}]"
+        if not (isinstance(term, (list, tuple)) and len(term) >= 3
+                and all(_read(e, at, int) >= 0 for e in term[:2])):
+            raise ConfigError(f"'{at}' must be [i, j, coefficient] with i, j >= 0, got {term!r}")
+        coeffs[tuple(term[:2])] = _read(term[2] if len(term) == 3 else term[2:], at, kind)
+    c = np.zeros(tuple(np.max(list(coeffs), axis=0) + 1), dtype=kind)
+    for ij, a in coeffs.items():
+        c[ij] = a
+    return c
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 def build_domain(cfg, key):
-    spec = cfg_get(cfg, key)
-    kind = cfg_get(spec, "type")
-    center = as_complex(spec.get("center", 0.0), f"{key}.center")
+    kind = cfg_get(cfg, f"{key}.type")
+    center = cfg_get(cfg, f"{key}.center", 0j, complex)
     try:
         if kind == "disc":
-            return Disc(center, float(cfg_get(spec, "radius")))
+            return Disc(center, cfg_get(cfg, f"{key}.radius", kind=float))
         if kind == "annulus":
-            return Annulus(center, float(cfg_get(spec, "r_inner")),
-                           float(cfg_get(spec, "r_outer")))
+            return Annulus(center, cfg_get(cfg, f"{key}.r_inner", kind=float),
+                           cfg_get(cfg, f"{key}.r_outer", kind=float))
         if kind == "generic":
-            return _generic_domain(spec, key)
-    except (TypeError, ValueError) as exc:
+            return _generic_domain(cfg, key)
+    except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     raise ConfigError(f"{key}.type must be disc, annulus or generic, got {kind!r}")
 
 
-def _generic_domain(spec, key):
-    bbox = cfg_get(spec, "bbox")
-    if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
-        raise ConfigError(f"{key}.bbox must be [xmin, xmax, ymin, ymax]")
+def _generic_domain(cfg, key):
+    bbox = cfg_list(cfg, f"{key}.bbox", float)
+    if len(bbox) != 4:
+        raise ConfigError(f"'{key}.bbox' must be [xmin, xmax, ymin, ymax]")
+    # each inequality as a polynomial that is negative inside
     ineqs = []
-    for n, entry in enumerate(cfg_get(spec, "inequalities")):
-        terms = cfg_get(entry, "poly")
-        if not all(isinstance(e, int) and e >= 0 for t in terms for e in t[:2]):
-            raise ConfigError(f"{key}.inequalities[{n}].poly exponents must be "
-                              "non-negative integers")
-        imax = max(t[0] for t in terms)
-        jmax = max(t[1] for t in terms)
-        c = np.zeros((imax + 1, jmax + 1))
-        for i, j, a in terms:
-            c[i, j] = float(a)
-        sign = cfg_get(entry, "sign")
-        if sign not in ("<", ">"):
-            raise ConfigError(f"{key}.inequalities[{n}].sign must be '<' or '>'")
-        ineqs.append((c, sign))
+    for n, entry in enumerate(cfg_list(cfg, f"{key}.inequalities", None)):
+        at = f"{key}.inequalities[{n}]"
+        if not (isinstance(entry, dict) and entry.get("sign") in ("<", ">")):
+            raise ConfigError(f"'{at}.sign' must be '<' or '>'")
+        c = _poly_coeffs(entry.get("poly"), f"{at}.poly", float)
+        ineqs.append(c if entry["sign"] == "<" else -c)
 
     def inside(z):
         z = np.asarray(z)
-        x, y = z.real, z.imag
         ok = np.ones(z.shape, dtype=bool)
-        for c, sign in ineqs:
-            val = np.polynomial.polynomial.polyval2d(x, y, c)
-            ok &= (val < 0) if sign == "<" else (val > 0)
+        for c in ineqs:
+            ok &= np.polynomial.polynomial.polyval2d(z.real, z.imag, c) < 0
         return ok if z.shape else bool(ok)
 
-    holes = tuple(as_complex(h, f"{key}.holes") for h in spec.get("holes", []))
-    return GenericDomain(inside=inside, bbox=tuple(float(v) for v in bbox), holes=holes)
+    holes = tuple(cfg_list(cfg, f"{key}.holes", complex, []))
+    return GenericDomain(inside=inside, bbox=tuple(bbox), holes=holes)
 
 
 def build_rule(cfg, domain, qkey):
-    spec = cfg_get(cfg, qkey)
-    if isinstance(domain, GenericDomain):
-        n_grid = cfg_get(spec, "n_grid")
-        if not isinstance(n_grid, int) or n_grid < 8:
-            raise ConfigError(f"'{qkey}.n_grid' must be an integer >= 8")
-        return build_generic_quadrature(domain, n_grid)
-    n_radial = _positive_int(cfg_get(spec, "n_radial"), f"{qkey}.n_radial")
-    n_angular = _positive_int(cfg_get(spec, "n_angular"), f"{qkey}.n_angular")
-    if isinstance(domain, Disc):
-        return build_disc_quadrature(domain.center, domain.radius, n_radial, n_angular)
-    return build_annulus_quadrature(domain.center, domain.r_inner, domain.r_outer,
-                                    n_radial, n_angular)
+    try:
+        if isinstance(domain, GenericDomain):
+            return build_generic_quadrature(domain, cfg_get(cfg, f"{qkey}.n_grid", kind=int))
+        n_radial = cfg_get(cfg, f"{qkey}.n_radial", kind=int)
+        n_angular = cfg_get(cfg, f"{qkey}.n_angular", kind=int)
+        if isinstance(domain, Disc):
+            return build_disc_quadrature(domain.center, domain.radius, n_radial, n_angular)
+        return build_annulus_quadrature(domain.center, domain.r_inner, domain.r_outer,
+                                        n_radial, n_angular)
+    except ValueError as exc:
+        raise ConfigError(f"{qkey}: {exc}") from exc
 
 
 def build_basis(cfg, domain, key):
     """Returns (basis, prefilter_size); the reduced filter may shrink it."""
-    spec = cfg_get(cfg, key)
-    kind = cfg_get(spec, "type")
-    center = as_complex(spec.get("center", 0.0), f"{key}.center")
+    kind = cfg_get(cfg, f"{key}.type")
+    center = cfg_get(cfg, f"{key}.center", 0j, complex)
     try:
         if kind == "monomial":
-            degree = cfg_get(spec, "degree")
-            if not isinstance(degree, int) or degree < 0:
-                raise ConfigError(f"'{key}.degree' must be a non-negative integer")
-            basis = monomial_basis(center, degree, domain)
+            basis = monomial_basis(center, cfg_get(cfg, f"{key}.degree", kind=int), domain)
         elif kind == "laurent":
             if not isinstance(domain, Annulus):
                 raise ConfigError(f"{key}: a laurent basis requires an annulus domain")
-            basis = laurent_basis(center, _convert(int, cfg_get(spec, "n_min"), f"{key}.n_min"),
-                                  _convert(int, cfg_get(spec, "n_max"), f"{key}.n_max"), domain)
+            basis = laurent_basis(center, cfg_get(cfg, f"{key}.n_min", kind=int),
+                                  cfg_get(cfg, f"{key}.n_max", kind=int), domain)
         else:
             raise ConfigError(f"{key}.type must be monomial or laurent, got {kind!r}")
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     n_prefilter = len(basis)
-    if spec.get("reduced", False):
+    if cfg_get(cfg, f"{key}.reduced", False, bool):
         basis = reduced_filter(basis)
     return basis, n_prefilter
 
 
 def build_weight(cfg, key="weight"):
-    spec = cfg_get(cfg, key, {"type": "constant"})
-    kind = cfg_get(spec, "type")
+    if cfg_get(cfg, key, None) is None:
+        return ConstantWeight()
+    kind = cfg_get(cfg, f"{key}.type")
+    center = cfg_get(cfg, f"{key}.center", 0j, complex)
     try:
         if kind == "constant":
-            return ConstantWeight(float(spec.get("value", 1.0)))
+            return ConstantWeight(cfg_get(cfg, f"{key}.value", 1.0, float))
         if kind == "power":
-            return PowerWeight(float(cfg_get(spec, "alpha")),
-                               as_complex(spec.get("center", 0.0), f"{key}.center"))
+            return PowerWeight(cfg_get(cfg, f"{key}.alpha", kind=float), center)
         if kind == "radial_poly":
-            return RadialPolyWeight(cfg_get(spec, "coeffs"),
-                                    as_complex(spec.get("center", 0.0), f"{key}.center"))
+            return RadialPolyWeight(cfg_list(cfg, f"{key}.coeffs", float), center)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     raise ConfigError(f"{key}.type must be constant, power or radial_poly, got {kind!r}")
 
 
 def build_map(cfg, source, target, key="map"):
-    spec = cfg_get(cfg, key)
-    kind = cfg_get(spec, "type")
+    kind = cfg_get(cfg, f"{key}.type")
     try:
         if kind in ("power", "identity"):
-            m = 1 if kind == "identity" else _positive_int(cfg_get(spec, "m"), f"{key}.m")
+            m = 1 if kind == "identity" else cfg_get(cfg, f"{key}.m", kind=int)
             return PowerMap(m, source=source, target=target)
         if kind == "blaschke":
             for dom, name in ((source, "domain"), (target, "domain2")):
                 _require_unit_disc(dom, f"a blaschke {key} ('{name}')")
-            zeros = [as_complex(a, f"{key}.zeros") for a in cfg_get(spec, "zeros")]
-            return BlaschkeProduct(zeros)
+            return BlaschkeProduct(cfg_list(cfg, f"{key}.zeros", complex))
         if kind == "polynomial":
-            coeffs = [as_complex(a, f"{key}.coeffs") for a in cfg_get(spec, "coeffs")]
-            return PolynomialMap(coeffs, source, target)
+            return PolynomialMap(cfg_list(cfg, f"{key}.coeffs", complex), source, target)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     raise ConfigError(f"{key}.type must be power, identity, blaschke or polynomial")
 
 
 def build_correspondence(cfg, d1, d2, key="correspondence"):
-    spec = cfg_get(cfg, key)
-    terms = cfg_get(spec, "terms")
+    c = _poly_coeffs(cfg_get(cfg, f"{key}.terms"), f"{key}.terms", complex)
     try:
-        nz = max(int(t[0]) for t in terms) + 1
-        nw = max(int(t[1]) for t in terms) + 1
-        c = np.zeros((nz, nw), dtype=complex)
-        for t in terms:
-            if len(t) == 3:
-                dz, dw, re = t
-                im = 0.0
-            else:
-                dz, dw, re, im = t
-            c[int(dz), int(dw)] = complex(float(re), float(im))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{key}.terms entries must be [deg_z, deg_w, re(, im)]") from exc
-    return CorrespondenceModel(coeffs=c, d1=d1, d2=d2)
+        return CorrespondenceModel(coeffs=c, d1=d1, d2=d2)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def build_grid(cfg, key, seed=0):
-    spec = cfg_get(cfg, key)
-    kind = cfg_get(spec, "kind")
-    center = as_complex(spec.get("center", 0.0), f"{key}.center")
+    kind = cfg_get(cfg, f"{key}.kind")
+    center = cfg_get(cfg, f"{key}.center", 0j, complex)
+    if kind in ("cartesian", "random_disc"):
+        rmax = cfg_get(cfg, f"{key}.rmax", kind=float)
+        n = cfg_get(cfg, f"{key}.n", kind=POSITIVE_INT)
     try:
         if kind == "cartesian":
-            pts = disc_grid(float(cfg_get(spec, "rmax")),
-                            _positive_int(cfg_get(spec, "n"), f"{key}.n"), center)
+            pts = disc_grid(rmax, n, center)
         elif kind == "polar":
-            pts = annulus_grid(float(cfg_get(spec, "r_min")), float(cfg_get(spec, "r_max")),
-                               _positive_int(cfg_get(spec, "n_radial"), f"{key}.n_radial"),
-                               _positive_int(cfg_get(spec, "n_angular"), f"{key}.n_angular"),
-                               center)
+            pts = annulus_grid(cfg_get(cfg, f"{key}.r_min", kind=float),
+                               cfg_get(cfg, f"{key}.r_max", kind=float),
+                               cfg_get(cfg, f"{key}.n_radial", kind=POSITIVE_INT),
+                               cfg_get(cfg, f"{key}.n_angular", kind=POSITIVE_INT), center)
         elif kind == "random_disc":
             rng = np.random.default_rng(seed)
-            n = _positive_int(cfg_get(spec, "n"), f"{key}.n")
-            rmax = float(cfg_get(spec, "rmax"))
             pts = center + rmax * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
         elif kind == "points":
-            pts = np.asarray([as_complex(p, f"{key}.values") for p in cfg_get(spec, "values")])
+            pts = np.asarray(cfg_list(cfg, f"{key}.values", complex))
         else:
             raise ConfigError(f"{key}.kind must be cartesian, polar, random_disc or points")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     if pts.size == 0:
         raise ConfigError(f"{key} has no sample points")
     return pts
+
+
+def build_grids(cfg, key):
+    """The z and w sample grids under ``key``, both drawn from the config's seed."""
+    seed = cfg_get(cfg, "seed", 0, int)
+    return build_grid(cfg, f"{key}.z", seed), build_grid(cfg, f"{key}.w", seed)
 
 
 def build_side(cfg, suffix=""):
@@ -304,7 +315,8 @@ def build_side(cfg, suffix=""):
     domain = build_domain(cfg, "domain" + suffix)
     rule = build_rule(cfg, domain, "quadrature" + suffix)
     basis, n_prefilter = build_basis(cfg, domain, "basis" + suffix)
-    drop_tol = _convert(float, cfg_get(cfg, "drop_tol", 1e-10), "drop_tol")
+    # orthonormalize checks drop_tol too, but lazily, inside the evaluator
+    drop_tol = cfg_get(cfg, "drop_tol", 1e-10, float)
     if not drop_tol > 0:
         raise ConfigError(f"'drop_tol' must be positive, got {drop_tol!r}")
     return domain, rule, lambda weight: orthonormalize(basis, rule, weight, drop_tol), n_prefilter
@@ -317,7 +329,6 @@ class RunDir:
     def __init__(self, out_root, subcommand, cfg):
         canonical = json.dumps(cfg, sort_keys=True, default=str).encode()
         digest = hashlib.sha256(canonical).hexdigest()[:12]
-        self.hash = digest
         self.path = os.path.join(out_root, f"{subcommand}-{digest}")
         os.makedirs(self.path, exist_ok=True)
         self.summary = {"config_hash": digest}
@@ -368,27 +379,24 @@ def write_csv(path, header, table):
 # oracle and check evaluation for the kernel pipeline
 
 def _oracle_values(cfg, ev, zs, ws):
-    spec = cfg_get(cfg, "oracle")
-    kind = cfg_get(spec, "type")
+    kind = cfg_get(cfg, "oracle.type")
     dom = ev.rule.domain
     zs = zs[:, None]
     ws = ws[None, :]
-    if kind == "disc":
-        _require_unit_disc(dom, "oracle.type = disc")
-        return oracles.disc_kernel(zs, ws)
-    if kind == "disc_power_weight":
-        _require_unit_disc(dom, "oracle.type = disc_power_weight")
-        return oracles.disc_power_weight_kernel(zs, ws, float(cfg_get(spec, "alpha")))
+    if kind in ("disc", "disc_power_weight"):
+        _require_unit_disc(dom, f"oracle.type = {kind}")
+        if kind == "disc":
+            return oracles.disc_kernel(zs, ws)
+        return oracles.disc_power_weight_kernel(zs, ws, cfg_get(cfg, "oracle.alpha", kind=float))
     if kind in ("annulus_reduced", "annulus_full"):
         if not isinstance(dom, Annulus):
             raise ConfigError(f"oracle.type = {kind} requires an annulus domain")
-        bspec = cfg_get(cfg, "basis")
-        reduced_basis = bool(bspec.get("reduced", False))
+        reduced_basis = cfg_get(cfg, "basis.reduced", False, bool)
         if reduced_basis != (kind == "annulus_reduced"):
             raise ConfigError("oracle reduced/full flavor must match basis.reduced")
         return oracles.annulus_kernel(zs, ws, dom.r_inner, dom.r_outer,
-                                      int(cfg_get(bspec, "n_min")),
-                                      int(cfg_get(bspec, "n_max")),
+                                      cfg_get(cfg, "basis.n_min", kind=int),
+                                      cfg_get(cfg, "basis.n_max", kind=int),
                                       reduced=reduced_basis)
     raise ConfigError(f"unknown oracle.type {kind!r}")
 
@@ -406,7 +414,7 @@ def build_checks(cfg):
     for name in checks:
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-    return {name: _convert(float, tol, f"checks.{name}") for name, tol in checks.items()}
+    return {name: cfg_get(cfg, f"checks.{name}", kind=float) for name in checks}
 
 
 def _run_checks(tols, ev, zs, run):
@@ -456,15 +464,15 @@ def _run_checks(tols, ev, zs, run):
 
 def run_kernel(cfg, run: RunDir):
     tols = build_checks(cfg)
+    csv = cfg_get(cfg, "output.csv", True, bool)
+    zs, ws = build_grids(cfg, "grid")
+    ozs, ows = build_grids(cfg, "oracle.grid") if cfg_get(cfg, "oracle.grid", None) else (zs, ws)
     _, _, orthonormal, n_raw = build_side(cfg)
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
             gram_condition=ev.onb.gram_condition)
 
-    seed = cfg_get(cfg, "seed", 0)
-    zs = build_grid(cfg, "grid.z", seed)
-    ws = build_grid(cfg, "grid.w", seed)
-    if cfg_get(cfg, "output.csv", True):
+    if csv:
         k = ev.eval_kernel_grid(zs, ws)
         z, w = np.meshgrid(zs, ws, indexing="ij")
         table = np.stack((z.real, z.imag, w.real, w.imag, k.real, k.imag), axis=-1)
@@ -473,8 +481,6 @@ def run_kernel(cfg, run: RunDir):
 
     gate = 0.0
     if cfg_get(cfg, "oracle", None) is not None:
-        ozs = build_grid(cfg, "oracle.grid.z", seed) if cfg_get(cfg, "oracle.grid", None) else zs
-        ows = build_grid(cfg, "oracle.grid.w", seed) if cfg_get(cfg, "oracle.grid", None) else ws
         got = ev.eval_kernel_grid(ozs, ows)
         want = _oracle_values(cfg, ev, ozs, ows)
         rel = float(np.max(np.abs(got - want) / np.abs(want)))
@@ -490,30 +496,23 @@ def run_verify(cfg, run: RunDir):
     has_corr = cfg_get(cfg, "correspondence", None) is not None
     if has_map == has_corr:
         raise ConfigError("verify needs exactly one of 'map' or 'correspondence'")
+    if has_corr and weight.kind != "constant":
+        raise ConfigError("weighted verification is defined for maps only")
 
+    csv = cfg_get(cfg, "output.csv", True, bool)
+    zs, ws = build_grids(cfg, "grid")
     d1, _, orthonormal1, _ = build_side(cfg)
     d2, _, orthonormal2, _ = build_side(cfg, "2")
-    if has_map:
-        model = build_map(cfg, d1, d2)
-    else:
-        model = build_correspondence(cfg, d1, d2)
-        if weight.kind != "constant":
-            raise ConfigError("weighted verification is defined for maps only")
-
+    model = build_map(cfg, d1, d2) if has_map else build_correspondence(cfg, d1, d2)
     ev1 = KernelEvaluator(orthonormal1(pullback_weight(weight, model)))
     ev2 = KernelEvaluator(orthonormal2(weight))
-    zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0))
-    ws = build_grid(cfg, "grid.w", cfg_get(cfg, "seed", 0))
-
-    if has_map:
-        report = verify_proper(model, ev1, ev2, zs, ws)
-    else:
-        report = verify_correspondence(model, ev1, ev2, zs, ws)
+    # a proper map is swept as its graph correspondence
+    report = verify_correspondence(model, ev1, ev2, zs, ws)
     run.add(n_samples=report.n_samples, excluded=report.excluded,
             max_abs_residual=report.max_abs_residual,
             max_rel_residual=report.max_rel_residual, lhs_scale=report.lhs_scale)
 
-    if cfg_get(cfg, "output.csv", True):
+    if csv:
         _write_residual_csv(run, report)
     return report.max_rel_residual
 
@@ -533,16 +532,20 @@ def run_adjoint(cfg, run: RunDir):
     gamma block pairs unweighted elements; the lambda block pairs the
     nu- and (nu o f)-orthonormal ones."""
     weight = build_weight(cfg)
+    has_corr = cfg_get(cfg, "correspondence", None) is not None
+    has_map = cfg_get(cfg, "map", None) is not None
+    if not (has_corr or has_map):
+        raise ConfigError("adjoint needs 'map' and/or 'correspondence'")
+    n_el = cfg_get(cfg, "adjoint.n_elements", 5, POSITIVE_INT)
     d1, rule1, orthonormal1, _ = build_side(cfg)
     d2, rule2, orthonormal2, _ = build_side(cfg, "2")
-    n_el = _positive_int(cfg_get(cfg, "adjoint.n_elements", 5), "adjoint.n_elements")
 
     def first_phis(orthonormal, w):
         onb = orthonormal(w)
         return [onb.phi_function(k) for k in range(min(n_el, onb.retained_count))]
 
     worst = 0.0
-    if cfg_get(cfg, "correspondence", None) is not None:
+    if has_corr:
         corr = build_correspondence(cfg, d1, d2)
         one = ConstantWeight()
         us = first_phis(orthonormal2, one)
@@ -557,15 +560,13 @@ def run_adjoint(cfg, run: RunDir):
         run.add(gamma_max_residual=float(np.max(res)), bound_max_ratio=bound_ratio)
         if bound_ratio > 1 + 1e-6:
             worst = float("inf")
-    if cfg_get(cfg, "map", None) is not None:
+    if has_map:
         f = build_map(cfg, d1, d2)
         us = first_phis(orthonormal2, weight)
         vs = first_phis(orthonormal1, pullback_weight(weight, f))
         res = adjoint_residual_matrix(f, us, vs, rule1, rule2, weight=weight)
         worst = max(worst, float(np.max(res)))
         run.add(lambda_max_residual=float(np.max(res)))
-    if cfg_get(cfg, "correspondence", None) is None and cfg_get(cfg, "map", None) is None:
-        raise ConfigError("adjoint needs 'map' and/or 'correspondence'")
     run.add(max_adjoint_residual=worst)
     return worst
 
@@ -574,23 +575,22 @@ def run_recover(cfg, run: RunDir):
     if cfg_get(cfg, "recover.stencil", None) is not None:
         raise ConfigError("'recover.stencil' is no longer used: the recovery "
                           "derivative is now exact; remove the key")
+    probe = cfg_get(cfg, "recover.probe", 0j, complex)
+    fallback = cfg_get(cfg, "recover.fallback", 0.1 + 0j, complex)
+    csv = cfg_get(cfg, "output.csv", True, bool)
+    zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0, int))
     d1, _, orthonormal, _ = build_side(cfg)
     d2 = build_domain(cfg, "domain2")
     _require_unit_disc(d2, "recover")
     f = build_map(cfg, d1, d2)
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
-    zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0))
-    rec = recover_map(
-        f, ev, zs,
-        probe=as_complex(cfg_get(cfg, "recover.probe", 0.0), "recover.probe"),
-        fallback_probe=as_complex(cfg_get(cfg, "recover.fallback", 0.1), "recover.fallback"),
-    )
+    rec = recover_map(f, ev, zs, probe=probe, fallback_probe=fallback)
     fz = f(zs)
     err = np.abs(rec.map_estimate - fz)
     sup_err = float(np.max(err[rec.valid])) if np.any(rec.valid) else float("inf")
     run.add(probe=str(rec.probe), probe_shifted=rec.probe_shifted,
             excluded=rec.excluded, sup_map_error=sup_err)
-    if cfg_get(cfg, "output.csv", True):
+    if csv:
         v = rec.valid
         z, g, fv = zs[v], rec.map_estimate[v], fz[v]
         write_csv(run.file("recover.csv"),
@@ -613,7 +613,7 @@ PIPELINES = {
 def load_config(path, overrides):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=CONFIG_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -630,7 +630,10 @@ def load_config(path, overrides):
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: '{part}' is not a mapping")
-        node[parts[-1]] = yaml.safe_load(raw)
+        try:
+            node[parts[-1]] = yaml.load(raw, Loader=CONFIG_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"--set {key}: {raw!r} is not valid YAML: {exc}") from exc
     return cfg
 
 
@@ -650,10 +653,8 @@ def execute(subcommand, cfg, out_root, verbose=False):
     run = RunDir(out_root, subcommand, cfg)
     with open(run.file("config.yaml"), "w", encoding="utf-8") as fh:
         yaml.dump(cfg, fh, Dumper=CONFIG_DUMPER, sort_keys=True)
-    run.add(seed=cfg_get(cfg, "seed", 0))
-    tolerance = cfg_get(cfg, "tolerance", None)
-    if tolerance is not None:
-        tolerance = _convert(float, tolerance, "tolerance")
+    run.add(seed=cfg_get(cfg, "seed", 0, int))
+    tolerance = cfg_get(cfg, "tolerance", None, float)
     try:
         gate_value = PIPELINES[subcommand](cfg, run)
     except ConfigError:
@@ -722,7 +723,7 @@ def _presets_cmd(args, out_root) -> int:
     names = preset_names() if args.name in (None, "all") else [args.name]
     worst = 0
     for name in names:
-        cfg = yaml.safe_load(preset_text(name))
+        cfg = yaml.load(preset_text(name), Loader=CONFIG_LOADER)
         command = cfg.pop("run", None)
         if command not in PIPELINES:
             raise ConfigError(f"preset {name} lacks a valid 'run' field")

@@ -139,19 +139,12 @@ def operator_bound_check(corr: CorrespondenceModel, v, rule1, rule2, backward=No
 # ---------------------------------------------------------------------------
 # transformation-formula sweeps
 
-def verify_proper(f: ProperMap, ev1: KernelEvaluator, ev2: KernelEvaluator,
-                  z_grid, w_grid) -> TransformReport:
-    """Residuals of f'(z) K2(f(z), w) = sum_k K1(z, F_k(w)) conj(F_k'(w))
-    over the grid product; ev1 lives on the source, ev2 on the target.
-    For weighted kernels ev2 carries a weight nu and ev1 its pull-back
-    nu o f (``pullback_weight``)."""
-    return verify_correspondence(f, ev1, ev2, z_grid, w_grid)
-
-
 def verify_correspondence(corr: CorrespondenceModel | ProperMap, ev1: KernelEvaluator,
                           ev2: KernelEvaluator, z_grid, w_grid) -> TransformReport:
     """Residuals of sum_i f_i'(z) K2(f_i(z), w) = sum_j K1(z, F_j(w)) conj(F_j'(w))
-    over the grid product; a proper map is swept as its graph.  Samples
+    over the grid product, ev1 on the source and ev2 on the target.  A
+    proper map is swept as its graph; for weighted kernels ev2 carries a
+    weight nu and ev1 its pull-back nu o f (``pullback_weight``).  Samples
     within GRID_EXCLUSION of the singular sets are excluded; any other
     query whose branches cannot be resolved raises its error."""
     zs = np.asarray(z_grid, dtype=complex)
@@ -186,6 +179,9 @@ def verify_correspondence(corr: CorrespondenceModel | ProperMap, ev1: KernelEval
         lhs_scale=float(np.max(lhs_mag)) if lhs_mag.size else 0.0,
         z=zs, w=ws, lhs=lhs, rhs=rhs, kept=kept,
     )
+
+
+verify_proper = verify_correspondence
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ grid:
 oracle: {type: annulus_reduced}
 """
 
+# the disc kernel for the weight |z|^2, gated on its closed form
+POWER_WEIGHT_CFG = (
+    DISC_KERNEL_CFG.replace("weight: {type: constant}", "weight: {type: power, alpha: 1.0}")
+    .replace("oracle: {type: disc}", "oracle: {type: disc_power_weight, alpha: 1.0}"))
+
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
@@ -531,8 +536,28 @@ def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys,
     ("kernel", DISC_KERNEL_CFG, "drop_tol=x", "drop_tol"),
     ("kernel", DISC_KERNEL_CFG, "drop_tol=0", "drop_tol"),
     ("kernel", DISC_KERNEL_CFG, "tolerance=x", "tolerance"),
+    ("kernel", POWER_WEIGHT_CFG, "weight.alpha=[1]", "'weight.alpha'"),
+    ("kernel", DISC_KERNEL_CFG, "weight.value=[1]", "'weight.value'"),
+    ("kernel", DISC_KERNEL_CFG, "weight={type: radial_poly, coeffs: 3}", "'weight.coeffs'"),
+    ("kernel", DISC_KERNEL_CFG, "weight={type: radial_poly, coeffs: [1, x]}",
+     "'weight.coeffs[1]'"),
+    ("kernel", POWER_WEIGHT_CFG, "oracle.alpha=abc", "'oracle.alpha'"),
+    ("kernel", DISC_KERNEL_CFG, "basis.degree=true", "'basis.degree'"),
+    ("kernel", DISC_KERNEL_CFG, "grid.z.n=true", "'grid.z.n'"),
+    ("verify", preset_text("proper_square_disc"), "map.m=2.5", "'map.m'"),
+    ("kernel", DISC_KERNEL_CFG, "domain.radius=abc", "'domain.radius'"),
+    ("kernel", DISC_KERNEL_CFG, 'output.csv="false"', "'output.csv'"),
+    ("kernel", DISC_KERNEL_CFG, "basis.reduced=1", "'basis.reduced'"),
+    ("verify", preset_text("corr_sqrt_disc"), "correspondence.terms=[[0, 0, 1.0]]",
+     "correspondence"),
+    ("verify", preset_text("corr_sqrt_disc"), "correspondence.terms=[[0, 2, 1], [-1, 0, -1]]",
+     "'correspondence.terms[1]'"),
 ], ids=["n_min-text", "n_max-list", "n_min-above-n_max", "n_elements-text",
-        "check-tolerance-text", "drop_tol-text", "drop_tol-zero", "tolerance-text"])
+        "check-tolerance-text", "drop_tol-text", "drop_tol-zero", "tolerance-text",
+        "weight-alpha-list", "weight-value-list", "radial-coeffs-scalar",
+        "radial-coeffs-entry-text", "oracle-alpha-text", "degree-bool", "grid-n-bool",
+        "map-m-float", "radius-text", "csv-string", "reduced-int", "constant-correspondence",
+        "negative-degree"])
 def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, command, text,
                                                     override, key):
     assert run_cli(tmp_path, command, write_cfg(tmp_path, text), "--set", override) == 2
@@ -540,10 +565,42 @@ def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, command, t
     assert "config error" in err and key in err
 
 
+def test_cfg_get_kinds():
+    from redbergman.cli import POSITIVE_INT, cfg_get, cfg_list
+    from redbergman.errors import ConfigError
+
+    # PyYAML reads a number without a dot as text
+    cfg = yaml.safe_load("a: {x: 25e-1, n: 3, t: true, z: [1, -2e0], nil: null}\n"
+                         "list: [1, '2', 3.5]")
+    assert (cfg["a"]["x"], cfg["a"]["z"][1]) == ("25e-1", "-2e0")
+    assert cfg_get(cfg, "a.x", kind=float) == 2.5
+    assert cfg_get(cfg, "a.n", kind=float) == 3.0
+    assert cfg_get(cfg, "a.n", kind=POSITIVE_INT) == 3
+    assert cfg_get(cfg, "a.t", kind=bool) is True
+    assert cfg_get(cfg, "a.z", kind=complex) == 1 - 2j
+    assert cfg_get(cfg, "a.x", kind=complex) == 2.5
+    assert cfg_get(cfg, "a.nil", 7, int) == 7       # null reads as absent
+    assert cfg_get(cfg, "a.gone.deeper", None) is None
+    assert cfg_list(cfg, "list", float) == [1.0, 2.0, 3.5]
+    for path, kind in [("a.t", float), ("a.t", int), ("a.t", complex), ("a.n", bool),
+                       ("a.x", int), ("a.z", float), ("list", complex), ("a.nil", int)]:
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            cfg_get(cfg, path, kind=kind)
+    # integer fields take no numeric text
+    with pytest.raises(ConfigError, match=r"'list\[1\]' must be an integer, got '2'"):
+        cfg_list(cfg, "list", int)
+    with pytest.raises(ConfigError, match="positive"):
+        cfg_get({"n": 0}, "n", kind=POSITIVE_INT)
+
+
 @pytest.mark.parametrize("override, key", [
     ("checks.conjugate_symetry=1.0e-12", "conjugate_symetry"),
     ("checks.conjugate_symmetry=abc", "checks.conjugate_symmetry"),
-], ids=["misspelt-check", "tolerance-text"])
+    ("grid.w.rmax=abc", "grid.w.rmax"),
+    ("oracle.grid={z: {kind: cartesian, rmax: 0.5, n: 3}, w: {kind: polar}}", "oracle.grid.w"),
+    ('output.csv="no"', "output.csv"),
+], ids=["misspelt-check", "tolerance-text", "grid-w-text", "oracle-grid-w-missing",
+        "csv-string"])
 def test_checks_are_config_errors_before_the_numerics(tmp_path, capsys, monkeypatch,
                                                       override, key):
     from redbergman import cli
@@ -665,6 +722,28 @@ config_values = st.recursive(
 config_mappings = st.dictionaries(config_keys, config_values, max_size=6)
 needs_libyaml = pytest.mark.skipif(not getattr(yaml, "__with_libyaml__", False),
                                    reason="PyYAML built without libyaml")
+
+
+@needs_libyaml
+def test_libyaml_loader_matches_pyyaml_on_presets():
+    from redbergman.cli import CONFIG_LOADER
+
+    assert CONFIG_LOADER is yaml.CSafeLoader
+    for name in preset_names():
+        text = preset_text(name)
+        assert yaml.load(text, Loader=CONFIG_LOADER) == yaml.safe_load(text), name
+
+
+@pytest.mark.parametrize("args", [
+    ("kernel", "bad.yaml"),
+    ("kernel", "good.yaml", "--set", "grid.z=[1"),
+], ids=["config-file", "set-value"])
+def test_invalid_yaml_is_a_config_error(tmp_path, capsys, args):
+    write_cfg(tmp_path, "domain: {type: disc\n", "bad.yaml")
+    write_cfg(tmp_path, DISC_KERNEL_CFG, "good.yaml")
+    args = [str(tmp_path / a) if a.endswith(".yaml") else a for a in args]
+    assert run_cli(tmp_path, *args) == 2
+    assert "not valid YAML" in capsys.readouterr().err
 
 
 @needs_libyaml
