@@ -378,26 +378,28 @@ def write_csv(path, header, table):
 # ---------------------------------------------------------------------------
 # oracle and check evaluation for the kernel pipeline
 
-def _oracle_values(cfg, ev, zs, ws):
+def build_oracle(cfg, domain):
+    """The closed-form kernel of the oracle block as a function
+    (zs, ws) -> values on the grid product, checked against the domain
+    and the basis; None when the config has no oracle."""
+    if cfg_get(cfg, "oracle", None) is None:
+        return None
     kind = cfg_get(cfg, "oracle.type")
-    dom = ev.rule.domain
-    zs = zs[:, None]
-    ws = ws[None, :]
     if kind in ("disc", "disc_power_weight"):
-        _require_unit_disc(dom, f"oracle.type = {kind}")
+        _require_unit_disc(domain, f"oracle.type = {kind}")
         if kind == "disc":
-            return oracles.disc_kernel(zs, ws)
-        return oracles.disc_power_weight_kernel(zs, ws, cfg_get(cfg, "oracle.alpha", kind=float))
+            return lambda zs, ws: oracles.disc_kernel(zs[:, None], ws[None, :])
+        alpha = cfg_get(cfg, "oracle.alpha", kind=float)
+        return lambda zs, ws: oracles.disc_power_weight_kernel(zs[:, None], ws[None, :], alpha)
     if kind in ("annulus_reduced", "annulus_full"):
-        if not isinstance(dom, Annulus):
+        if not isinstance(domain, Annulus):
             raise ConfigError(f"oracle.type = {kind} requires an annulus domain")
-        reduced_basis = cfg_get(cfg, "basis.reduced", False, bool)
-        if reduced_basis != (kind == "annulus_reduced"):
+        reduced = cfg_get(cfg, "basis.reduced", False, bool)
+        if reduced != (kind == "annulus_reduced"):
             raise ConfigError("oracle reduced/full flavor must match basis.reduced")
-        return oracles.annulus_kernel(zs, ws, dom.r_inner, dom.r_outer,
-                                      cfg_get(cfg, "basis.n_min", kind=int),
-                                      cfg_get(cfg, "basis.n_max", kind=int),
-                                      reduced=reduced_basis)
+        window = cfg_get(cfg, "basis.n_min", kind=int), cfg_get(cfg, "basis.n_max", kind=int)
+        return lambda zs, ws: oracles.annulus_kernel(zs[:, None], ws[None, :], domain.r_inner,
+                                                     domain.r_outer, *window, reduced=reduced)
     raise ConfigError(f"unknown oracle.type {kind!r}")
 
 
@@ -467,7 +469,8 @@ def run_kernel(cfg, run: RunDir):
     csv = cfg_get(cfg, "output.csv", True, bool)
     zs, ws = build_grids(cfg, "grid")
     ozs, ows = build_grids(cfg, "oracle.grid") if cfg_get(cfg, "oracle.grid", None) else (zs, ws)
-    _, _, orthonormal, n_raw = build_side(cfg)
+    domain, _, orthonormal, n_raw = build_side(cfg)
+    oracle = build_oracle(cfg, domain)
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
             gram_condition=ev.onb.gram_condition)
@@ -480,9 +483,9 @@ def run_kernel(cfg, run: RunDir):
                   ["re_z", "im_z", "re_w", "im_w", "re_k", "im_k"], table.reshape(-1, 6))
 
     gate = 0.0
-    if cfg_get(cfg, "oracle", None) is not None:
+    if oracle is not None:
         got = ev.eval_kernel_grid(ozs, ows)
-        want = _oracle_values(cfg, ev, ozs, ows)
+        want = oracle(ozs, ows)
         rel = float(np.max(np.abs(got - want) / np.abs(want)))
         run.add(oracle_max_rel_err=rel)
         gate = max(gate, rel)
@@ -496,7 +499,7 @@ def run_verify(cfg, run: RunDir):
     has_corr = cfg_get(cfg, "correspondence", None) is not None
     if has_map == has_corr:
         raise ConfigError("verify needs exactly one of 'map' or 'correspondence'")
-    if has_corr and weight.kind != "constant":
+    if has_corr and not isinstance(weight, ConstantWeight):
         raise ConfigError("weighted verification is defined for maps only")
 
     csv = cfg_get(cfg, "output.csv", True, bool)
@@ -528,45 +531,34 @@ def _write_residual_csv(run, report):
 
 def run_adjoint(cfg, run: RunDir):
     """Adjointness residuals over the first few orthonormal elements of
-    each space, plus the p*q operator bound for correspondences.  The
-    gamma block pairs unweighted elements; the lambda block pairs the
-    nu- and (nu o f)-orthonormal ones."""
+    each side, one block per model the config names: the gamma block of
+    the correspondence, in systems with weight 1, plus its p*q operator
+    bound, and the lambda block of the map, in systems with weights
+    nu o f on the source and nu on the target."""
     weight = build_weight(cfg)
-    has_corr = cfg_get(cfg, "correspondence", None) is not None
-    has_map = cfg_get(cfg, "map", None) is not None
-    if not (has_corr or has_map):
-        raise ConfigError("adjoint needs 'map' and/or 'correspondence'")
     n_el = cfg_get(cfg, "adjoint.n_elements", 5, POSITIVE_INT)
-    d1, rule1, orthonormal1, _ = build_side(cfg)
+    d1, _, orthonormal1, _ = build_side(cfg)
     d2, rule2, orthonormal2, _ = build_side(cfg, "2")
-
-    def first_phis(orthonormal, w):
-        onb = orthonormal(w)
-        return [onb.phi_function(k) for k in range(min(n_el, onb.retained_count))]
-
+    blocks = []  # (summary name, model, nu), every model built before any numerics
+    if cfg_get(cfg, "correspondence", None) is not None:
+        blocks.append(("gamma", build_correspondence(cfg, d1, d2), ConstantWeight()))
+    if cfg_get(cfg, "map", None) is not None:
+        blocks.append(("lambda", build_map(cfg, d1, d2), weight))
+    if not blocks:
+        raise ConfigError("adjoint needs 'map' and/or 'correspondence'")
     worst = 0.0
-    if has_corr:
-        corr = build_correspondence(cfg, d1, d2)
-        one = ConstantWeight()
-        us = first_phis(orthonormal2, one)
-        vs = first_phis(orthonormal1, one)
-        backward = branch_table(corr, rule2.nodes, forward=False)
-        res = adjoint_residual_matrix(corr, us, vs, rule1, rule2, backward=backward)
-        worst = max(worst, float(np.max(res)))
-        bound_ratio = 0.0
-        for v in vs:
-            lhs, rhs = operator_bound_check(corr, v, rule1, rule2, backward=backward)
-            bound_ratio = max(bound_ratio, lhs / rhs)
-        run.add(gamma_max_residual=float(np.max(res)), bound_max_ratio=bound_ratio)
-        if bound_ratio > 1 + 1e-6:
-            worst = float("inf")
-    if has_map:
-        f = build_map(cfg, d1, d2)
-        us = first_phis(orthonormal2, weight)
-        vs = first_phis(orthonormal1, pullback_weight(weight, f))
-        res = adjoint_residual_matrix(f, us, vs, rule1, rule2, weight=weight)
-        worst = max(worst, float(np.max(res)))
-        run.add(lambda_max_residual=float(np.max(res)))
+    for name, model, nu in blocks:
+        onb1 = orthonormal1(pullback_weight(nu, model))
+        onb2 = orthonormal2(nu)
+        backward = branch_table(model, rule2.nodes, forward=False)
+        res = float(np.max(adjoint_residual_matrix(model, onb1, onb2, n_el, backward)))
+        worst = max(worst, res)
+        run.add(**{f"{name}_max_residual": res})
+        if name == "gamma":
+            ratio = float(np.max(operator_bound_check(model, onb1, onb2, n_el, backward)))
+            run.add(bound_max_ratio=ratio)
+            if ratio > 1 + 1e-6:
+                worst = float("inf")
     run.add(max_adjoint_residual=worst)
     return worst
 

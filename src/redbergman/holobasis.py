@@ -215,15 +215,11 @@ def numerical_period(element: BasisElement, circle_center, circle_radius,
 class WeightFn:
     """Positive weight on a domain; callable on scalars or arrays."""
 
-    kind = "abstract"
-
     def __call__(self, z):
         raise NotImplementedError
 
 
 class ConstantWeight(WeightFn):
-    kind = "constant"
-
     def __init__(self, value: float = 1.0):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"constant weight must be positive, got {value}")
@@ -235,8 +231,6 @@ class ConstantWeight(WeightFn):
 
 class PowerWeight(WeightFn):
     """nu(z) = |z - center|^(2*alpha), alpha >= 0."""
-
-    kind = "power"
 
     def __init__(self, alpha: float, center=0.0):
         if alpha < 0:
@@ -251,8 +245,6 @@ class PowerWeight(WeightFn):
 
 class RadialPolyWeight(WeightFn):
     """nu(z) = sum_k a_k |z - center|^(2k) with a_k >= 0, a_0 > 0."""
-
-    kind = "radial_poly"
 
     def __init__(self, coeffs, center=0.0):
         coeffs = [float(a) for a in coeffs]
@@ -270,8 +262,6 @@ class RadialPolyWeight(WeightFn):
 class PullbackWeight(WeightFn):
     """Composite weight nu(f(z)); positivity is checked on quadrature
     nodes at the use sites, not here."""
-
-    kind = "composite"
 
     def __init__(self, base: WeightFn, mapping):
         self.base = base

@@ -199,9 +199,10 @@ class OrthonormalBasis:
     rule: QuadratureRule
     weight: WeightFn
 
-    def phi_values(self, pts) -> np.ndarray:
-        """(npts, retained_count) matrix of orthonormal element values."""
-        return self.raw.values(pts) @ self.coeffs.T
+    def phi_values(self, pts, n=None) -> np.ndarray:
+        """(npts, n) matrix of the values of the first n orthonormal
+        elements (all retained ones by default)."""
+        return self.raw.values(pts) @ self.coeffs[:n].T
 
     def phi_deriv_values(self, pts, order: int) -> np.ndarray:
         return self.raw.deriv_values(pts, order) @ self.coeffs.T
@@ -210,15 +211,6 @@ class OrthonormalBasis:
         """Primitives of the orthonormal elements, see RawBasis.primitive_values."""
         used = np.any(self.coeffs != 0, axis=0)
         return self.raw.primitive_values(pts, used) @ self.coeffs.T
-
-    def phi_function(self, k: int):
-        """The k-th orthonormal element as a plain callable."""
-        row = self.coeffs[k]
-
-        def phi(z):
-            return self.raw.values(z) @ row
-
-        return phi
 
 
 def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,

@@ -9,7 +9,9 @@ query array at once, so the sums over many functions and points share
 one solve.  The adjointness and operator-bound checks, the verify
 sweeps and the map recovery are built on those tables; they measure the
 residuals of exact identities, where all remaining error is
-discretization.
+discretization.  The adjointness checks pair the first elements of two
+orthonormal systems, each in its own inner product: the rule and weight
+it was orthonormalized in.
 
 Sweeps exclude the samples within GRID_EXCLUSION of the singular sets
 (critical values, discriminant loci) and count them; a query outside
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearCriticalError
-from .holobasis import WeightFn
-from .kernel import KernelEvaluator
+from .kernel import KernelEvaluator, OrthonormalBasis
 from .propermaps import CorrespondenceModel, ProperMap, far_from
 
 __all__ = [
@@ -87,53 +88,56 @@ def branch_table(model, points, forward: bool):
     return table.points, table.derivatives
 
 
-def _branch_sum(func, pts, der) -> np.ndarray:
-    return np.einsum("nk,nk->n", der, func(pts))
+def _branch_sums(onb: OrthonormalBasis, n: int, table) -> np.ndarray:
+    """(n, n_queries) branch sums sum_k d_k phi(p_k) of the first n
+    elements phi of ``onb`` over a branch table's (p, d), with one
+    evaluation of the raw basis at all branch points."""
+    pts, der = table
+    vals = onb.phi_values(pts.ravel(), n).reshape(pts.shape + (-1,))
+    return np.einsum("qk,qkn->nq", der, vals)
 
 
-def adjoint_residual_matrix(model, us, vs, rule1, rule2,
-                            weight: WeightFn | None = None,
-                            backward=None) -> np.ndarray:
-    """Residuals |<op1 u, v>_1 - <u, op2 v>_2| for all (u, v) pairs.
+def _node_weights(onb: OrthonormalBasis) -> np.ndarray:
+    """Quadrature weights times the weight of the system's inner product."""
+    return onb.rule.weights * np.asarray(onb.weight(onb.rule.nodes), dtype=float)
+
+
+def adjoint_residual_matrix(model, onb1: OrthonormalBasis, onb2: OrthonormalBasis,
+                            n: int, backward=None) -> np.ndarray:
+    """Residuals |<op1 u, v>_1 - <u, op2 v>_2| for the first n elements u
+    of the target system ``onb2`` and v of the source system ``onb1``.
 
     op1 u = sum_i f_i' u(f_i) is the forward and op2 v = sum_j F_j' v(F_j)
-    the backward branch sum.  For correspondences the inner products are
-    unweighted.  For proper maps (op1 u = f' u(f)) they are
-    <.,.>_{nu o f} on the source and <.,.>_nu on the target; pass
-    ``weight`` as nu (None means nu = 1) for maps only.  Branch solving
-    is shared across all functions; pass ``backward`` to reuse a solved
-    ``branch_table(model, rule2.nodes, forward=False)``.
+    the backward branch sum.  Each inner product is the system's own:
+    its rule and its weight, which for a proper map f must be nu o f on
+    the source and nu on the target (``pullback_weight``), and 1 on both
+    for a correspondence.  Pass ``backward`` to reuse a solved
+    ``branch_table(model, onb2.rule.nodes, forward=False)``.
     """
-    fpts, fder = branch_table(model, rule1.nodes, forward=True)
     if backward is None:
-        backward = branch_table(model, rule2.nodes, forward=False)
-    bpts, bder = backward
-    if weight is None:
-        nu1 = np.ones(len(rule1))
-        nu2 = np.ones(len(rule2))
-    else:
-        nu1 = np.asarray(weight(model(rule1.nodes)), dtype=float)
-        nu2 = np.asarray(weight(rule2.nodes), dtype=float)
-    op1u = np.stack([_branch_sum(u, fpts, fder) for u in us])       # (nu, n1)
-    op2v = np.stack([_branch_sum(v, bpts, bder) for v in vs])       # (nv, n2)
-    v1 = np.stack([np.asarray(v(rule1.nodes)) for v in vs])         # (nv, n1)
-    u2 = np.stack([np.asarray(u(rule2.nodes)) for u in us])         # (nu, n2)
-    lhs = (op1u * (rule1.weights * nu1)) @ v1.conj().T              # (nu, nv)
-    rhs = (u2 * (rule2.weights * nu2)) @ op2v.conj().T
+        backward = branch_table(model, onb2.rule.nodes, forward=False)
+    op1u = _branch_sums(onb2, n, branch_table(model, onb1.rule.nodes, forward=True))
+    op2v = _branch_sums(onb1, n, backward)                          # (n, n2)
+    v1 = onb1.phi_values(onb1.rule.nodes, n).T                      # (n, n1)
+    u2 = onb2.phi_values(onb2.rule.nodes, n).T                      # (n, n2)
+    lhs = (op1u * _node_weights(onb1)) @ v1.conj().T
+    rhs = (u2 * _node_weights(onb2)) @ op2v.conj().T
     return np.abs(lhs - rhs)
 
 
-def operator_bound_check(corr: CorrespondenceModel, v, rule1, rule2, backward=None):
-    """Both sides of <op2 v, op2 v>_2 <= p*q*<v, v>_1 by quadrature, op2
-    the backward branch sum; the caller asserts lhs <= rhs*(1 + 1e-6).
+def operator_bound_check(corr: CorrespondenceModel, onb1: OrthonormalBasis,
+                         onb2: OrthonormalBasis, n: int, backward=None) -> np.ndarray:
+    """The n ratios <op2 v, op2 v>_2 / (p*q*<v, v>_1) for the first n
+    elements v of the source system ``onb1``, op2 the backward branch
+    sum; the bound says each is at most 1.  Inner products and
     ``backward`` as in adjoint_residual_matrix."""
     if backward is None:
-        backward = branch_table(corr, rule2.nodes, forward=False)
-    bpts, bder = backward
-    g2v = _branch_sum(v, bpts, bder)
-    lhs = float(np.sum(rule2.weights * np.abs(g2v) ** 2))
-    rhs = corr.p * corr.q * float(np.sum(rule1.weights * np.abs(v(rule1.nodes)) ** 2))
-    return lhs, rhs
+        backward = branch_table(corr, onb2.rule.nodes, forward=False)
+    op2v = _branch_sums(onb1, n, backward)
+    v1 = onb1.phi_values(onb1.rule.nodes, n).T
+    lhs = np.sum(_node_weights(onb2) * np.abs(op2v) ** 2, axis=1)
+    rhs = np.sum(_node_weights(onb1) * np.abs(v1) ** 2, axis=1)
+    return lhs / (corr.p * corr.q * rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +163,7 @@ def verify_correspondence(corr: CorrespondenceModel | ProperMap, ev1: KernelEval
     if kept.any():
         nz, nw = len(fp), len(bp)
         k2 = ev2.eval_kernel_grid(fp.ravel(), ws[kw]).reshape(nz, -1, nw)
-        if fd.shape[1] == 1:
-            # a map's single branch f'(z) K2(f(z), w) as the multiply ufunc
-            # rounds it; einsum rounds complex products differently
-            lhs[np.ix_(kz, kw)] = fd * k2[:, 0, :]
-        else:
-            lhs[np.ix_(kz, kw)] = np.einsum("zp,zpw->zw", fd, k2)
+        lhs[np.ix_(kz, kw)] = np.einsum("zp,zpw->zw", fd, k2)
         k1 = ev1.eval_kernel_grid(zs[kz], bp.ravel()).reshape(nz, nw, -1)
         rhs[np.ix_(kz, kw)] = np.einsum("zwq,wq->zw", k1, bd.conj())
     absres = np.abs(lhs[kept] - rhs[kept])
@@ -223,16 +222,12 @@ def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
     fallback_probe.
     """
     zs = np.asarray(z_grid, dtype=complex)
-    crit = f.v2   # the critical values
-    w0 = complex(probe)
-    shifted = False
-    if crit.size and np.min(np.abs(crit - w0)) <= GRID_EXCLUSION:
-        w0 = complex(fallback_probe)
-        shifted = True
-        if crit.size and np.min(np.abs(crit - w0)) <= GRID_EXCLUSION:
-            raise NearCriticalError(
-                f"both probe {probe} and fallback {fallback_probe} sit near critical values"
-            )
+    near = ~far_from(np.array([probe, fallback_probe], dtype=complex), f.v2, GRID_EXCLUSION)
+    if near.all():
+        raise NearCriticalError(f"both probe {probe} and fallback {fallback_probe} "
+                                "sit near critical values")
+    shifted = bool(near[0])
+    w0 = complex(fallback_probe if shifted else probe)
 
     pts, der = (a[0] for a in branch_table(f, [w0], forward=False))
     der2 = -f.deriv2(pts) * der ** 3

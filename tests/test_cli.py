@@ -246,7 +246,7 @@ def test_gram_norm_out_of_range_is_a_numerical_failure(tmp_path, radius, degree,
     # z^n on a tiny disc underflows to a zero norm, on a huge one it overflows
     cfg = write_cfg(tmp_path, preset_text("disc_kernel_oracle"))
     assert run_cli(tmp_path, "kernel", cfg, "--set", f"domain.radius={radius}",
-                   "--set", f"basis.degree={degree}") == 3
+                   "--set", f"basis.degree={degree}", "--set", "oracle=null") == 3
     summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
     assert "status = error" in summary
     assert "DegenerateBasisError: element BasisElement((z - 0j)^" in summary
@@ -369,6 +369,18 @@ def test_adjoint_honours_drop_tol(tmp_path, monkeypatch):
     del cfg_dict["tolerance"]
     assert run_cli(tmp_path, "adjoint", write_cfg(tmp_path, yaml.safe_dump(cfg_dict))) == 0
     assert seen and all(tol == 1e-9 for tol in seen)
+
+
+def test_adjoint_model_errors_come_before_the_numerics(tmp_path, capsys, monkeypatch):
+    # the gamma block runs first; a malformed map must still fail before it
+    from redbergman import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "orthonormalize", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path, preset_text("adjoint_disc"))
+    assert run_cli(tmp_path, "adjoint", cfg, "--set", "map.type=bogus") == 2
+    assert "map.type" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_oracle_grid_follows_seed(tmp_path, monkeypatch):
@@ -599,8 +611,13 @@ def test_cfg_get_kinds():
     ("grid.w.rmax=abc", "grid.w.rmax"),
     ("oracle.grid={z: {kind: cartesian, rmax: 0.5, n: 3}, w: {kind: polar}}", "oracle.grid.w"),
     ('output.csv="no"', "output.csv"),
+    ("oracle.type=bogus", "oracle.type 'bogus'"),
+    ("oracle={type: disc_power_weight, alpha: abc}", "'oracle.alpha'"),
+    ("domain.radius=2.0", "oracle.type = disc requires the unit disc"),
+    ("oracle={type: annulus_reduced}", "oracle.type = annulus_reduced requires an annulus"),
 ], ids=["misspelt-check", "tolerance-text", "grid-w-text", "oracle-grid-w-missing",
-        "csv-string"])
+        "csv-string", "oracle-type-unknown", "oracle-alpha-text", "oracle-off-unit-disc",
+        "annulus-oracle-on-disc"])
 def test_checks_are_config_errors_before_the_numerics(tmp_path, capsys, monkeypatch,
                                                       override, key):
     from redbergman import cli

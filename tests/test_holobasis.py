@@ -15,6 +15,7 @@ from redbergman import (
     GenericDomain,
     PowerMap,
     PowerWeight,
+    PullbackWeight,
     RadialPolyWeight,
     laurent_basis,
     monomial_basis,
@@ -133,7 +134,7 @@ def test_pullback_weight_compositions():
     nu = PowerWeight(1.0)          # |w|^2
     f = PowerMap(2)
     comp = pullback_weight(nu, f)  # |z|^4
-    assert comp.kind == "composite"
+    assert isinstance(comp, PullbackWeight)
     z = 0.6 + 0.2j
     assert comp(z) == pytest.approx(abs(z) ** 4)
 

@@ -24,6 +24,7 @@ from redbergman import (
     verify_correspondence,
     verify_proper,
 )
+from redbergman.holobasis import RawBasis
 
 ONE = ConstantWeight()
 
@@ -34,9 +35,35 @@ def branch_sum(model, func, points, forward):
     return np.sum(der * func(pts), axis=1)
 
 
-def pair_residual(model, u, v, rule1, rule2):
-    """|<op1 u, v>_1 - <u, op2 v>_2| for one function pair."""
-    return float(adjoint_residual_matrix(model, [u], [v], rule1, rule2)[0, 0])
+def disc_system(rule, weight=ONE, degree=8):
+    """Orthonormal monomials on a centred disc rule: element k is c_k z^k."""
+    return orthonormalize(monomial_basis(0.0, degree, rule.domain), rule, weight)
+
+
+def pairwise_residuals(model, onb1, onb2, n):
+    """adjoint_residual_matrix one pair of elements at a time, each
+    element summed over the branches by itself."""
+    nodes1, nodes2 = onb1.rule.nodes, onb2.rule.nodes
+    w1 = onb1.rule.weights * onb1.weight(nodes1)
+    w2 = onb2.rule.weights * onb2.weight(nodes2)
+    res = np.empty((n, n))
+    for i in range(n):
+        def u(z):
+            return onb2.phi_values(z)[..., i]
+        for j in range(n):
+            def v(z):
+                return onb1.phi_values(z)[..., j]
+            lhs = np.sum(w1 * branch_sum(model, u, nodes1, True) * np.conj(v(nodes1)))
+            rhs = np.sum(w2 * u(nodes2) * np.conj(branch_sum(model, v, nodes2, False)))
+            res[i, j] = abs(lhs - rhs)
+    return res
+
+
+def max_residual(model, rule, n):
+    """max |<op1 u, v>_1 - <u, op2 v>_2| over the first n unweighted
+    orthonormal elements u, v, which span 1, z, ..., z^(n-1)."""
+    onb = disc_system(rule)
+    return float(np.max(adjoint_residual_matrix(model, onb, onb, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,52 +121,78 @@ def test_lambda_operators():
 
 def test_adjoint_identity_map_exact():
     rule = build_disc_quadrature(0.0, 1.0, 20, 40)
-    res = pair_residual(PowerMap(1), lambda w: w, lambda z: z**2, rule, rule)
-    assert res < 1e-10
+    assert max_residual(PowerMap(1), rule, 3) < 1e-10
 
 
 def test_adjoint_power2_unweighted():
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
-    res = pair_residual(PowerMap(2), lambda w: w, lambda z: z**2, rule, rule)
-    assert res < 1e-7
+    assert max_residual(PowerMap(2), rule, 3) < 1e-7
 
 
 def test_adjoint_correspondence():
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
-    res = pair_residual(W2_MINUS_Z2, lambda w: np.ones_like(w), lambda z: z, rule, rule)
-    assert res < 1e-7
+    assert max_residual(W2_MINUS_Z2, rule, 2) < 1e-7
 
 
 def test_adjoint_orthonormal_pairs_gamma_and_lambda():
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
-    onb = orthonormalize(monomial_basis(0.0, 8, rule.domain), rule, ONE)
-    funcs = [onb.phi_function(k) for k in range(5)]
+    onb = disc_system(rule)
     for corr in (W2_MINUS_Z, W2_MINUS_Z2):
-        res = adjoint_residual_matrix(corr, funcs, funcs, rule, rule)
+        res = adjoint_residual_matrix(corr, onb, onb, 5)
         assert np.max(res) < 1e-7
 
     # weighted Lambda adjointness, nu = |w|^2 under f = z^2
     nu = PowerWeight(1.0)
     f = PowerMap(2)
-    onb1 = orthonormalize(monomial_basis(0.0, 8, rule.domain), rule,
-                          pullback_weight(nu, f))
-    onb2 = orthonormalize(monomial_basis(0.0, 8, rule.domain), rule, nu)
-    us = [onb2.phi_function(k) for k in range(5)]
-    vs = [onb1.phi_function(k) for k in range(5)]
-    res = adjoint_residual_matrix(f, us, vs, rule, rule, weight=nu)
+    res = adjoint_residual_matrix(f, disc_system(rule, pullback_weight(nu, f)),
+                                  disc_system(rule, nu), 5)
     assert np.max(res) < 1e-7
+
+
+def test_adjoint_lambda_fails_in_the_wrong_source_weight():
+    # the source system must be orthonormal in nu o f, not nu: the residual
+    # matrix reads each system's own weight, so a wrong one shows
+    rule = build_disc_quadrature(0.0, 1.0, 40, 80)
+    nu = PowerWeight(1.0)
+    f = PowerMap(2)
+    in_nu = disc_system(rule, nu)
+    right = np.max(adjoint_residual_matrix(f, disc_system(rule, pullback_weight(nu, f)),
+                                           in_nu, 5))
+    wrong = adjoint_residual_matrix(f, in_nu, in_nu, 5)
+    assert right < 1e-12
+    assert 0.3 < np.max(wrong) < 0.5
+    assert np.allclose(wrong, pairwise_residuals(f, in_nu, in_nu, 5), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_adjoint_evaluates_the_raw_basis_once_per_point_set(monkeypatch, n):
+    # the source and target nodes and the forward and backward branch points
+    calls = []
+    real = RawBasis.values
+
+    def counting(self, pts):
+        calls.append(pts)
+        return real(self, pts)
+
+    monkeypatch.setattr(RawBasis, "values", counting)
+    rule = build_disc_quadrature(0.0, 1.0, 12, 24)
+    onb = disc_system(rule)
+    calls.clear()
+    res = adjoint_residual_matrix(W2_MINUS_Z, onb, onb, n)
+    assert res.shape == (n, n)
+    assert len(calls) == 4
 
 
 def test_operator_bound():
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
-    lhs, rhs = operator_bound_check(W_MINUS_Z, lambda z: z**2 - 0.3, rule, rule)
-    assert lhs == rhs
+    onb = disc_system(rule)
+    # the identity correspondence maps each element to itself
+    assert np.all(operator_bound_check(W_MINUS_Z, onb, onb, 3) == 1.0)
 
-    lhs, rhs = operator_bound_check(W2_MINUS_Z, lambda z: np.ones_like(z), rule, rule)
-    assert lhs <= rhs * (1 + 1e-6)
-
-    lhs, rhs = operator_bound_check(W2_MINUS_Z2, lambda z: z, rule, rule)
-    assert lhs <= rhs * (1 + 1e-6)
+    for corr in (W2_MINUS_Z, W2_MINUS_Z2):
+        ratios = operator_bound_check(corr, onb, onb, 5)
+        assert ratios.shape == (5,)
+        assert np.all(ratios <= 1 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
