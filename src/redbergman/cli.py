@@ -47,9 +47,9 @@ from .kernel import KernelEvaluator, orthonormalize
 from .propermaps import BlaschkeProduct, CorrespondenceModel, PolynomialMap, PowerMap
 from .transform import (
     adjoint_residual_matrix,
-    branch_table,
     operator_bound_check,
     recover_map,
+    source_terms,
     verify_correspondence,
 )
 
@@ -538,7 +538,7 @@ def run_adjoint(cfg, run: RunDir):
     weight = build_weight(cfg)
     n_el = cfg_get(cfg, "adjoint.n_elements", 5, POSITIVE_INT)
     d1, _, orthonormal1, _ = build_side(cfg)
-    d2, rule2, orthonormal2, _ = build_side(cfg, "2")
+    d2, _, orthonormal2, _ = build_side(cfg, "2")
     blocks = []  # (summary name, model, nu), every model built before any numerics
     if cfg_get(cfg, "correspondence", None) is not None:
         blocks.append(("gamma", build_correspondence(cfg, d1, d2), ConstantWeight()))
@@ -550,12 +550,12 @@ def run_adjoint(cfg, run: RunDir):
     for name, model, nu in blocks:
         onb1 = orthonormal1(pullback_weight(nu, model))
         onb2 = orthonormal2(nu)
-        backward = branch_table(model, rule2.nodes, forward=False)
-        res = float(np.max(adjoint_residual_matrix(model, onb1, onb2, n_el, backward)))
+        source = source_terms(model, onb1, onb2, n_el)
+        res = float(np.max(adjoint_residual_matrix(model, onb1, onb2, n_el, source)))
         worst = max(worst, res)
         run.add(**{f"{name}_max_residual": res})
         if name == "gamma":
-            ratio = float(np.max(operator_bound_check(model, onb1, onb2, n_el, backward)))
+            ratio = float(np.max(operator_bound_check(model, onb1, onb2, n_el, source)))
             run.add(bound_max_ratio=ratio)
             if ratio > 1 + 1e-6:
                 worst = float("inf")

@@ -12,6 +12,7 @@ n = -1 around a hole whose bounded component contains the center.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -94,9 +95,18 @@ class RawBasis:
     def __len__(self):
         return len(self.elements)
 
+    def _terms(self):
+        return [(e.power, e.center) for e in self.elements]
+
     def values(self, pts) -> np.ndarray:
         """(npts, n_elements) matrix of element values."""
-        return _power_columns(pts, [(e.power, e.center) for e in self.elements])
+        return _power_columns(pts, self._terms())
+
+    def value_rows(self, pts):
+        """Yields the columns of ``values(pts)`` one element at a time, as
+        flat rows with the same bits.  Each row lives in one reused buffer,
+        valid only until the next is drawn."""
+        return _power_rows(pts, self._terms())
 
     def deriv_values(self, pts, order: int) -> np.ndarray:
         """(npts, n_elements) matrix of order-th derivatives: the falling
@@ -137,10 +147,21 @@ def _power_columns(pts, terms) -> np.ndarray:
     evaluated on its own.
     """
     pts = np.asarray(pts, dtype=complex)
-    flat = pts.reshape(-1)
-    out = np.empty((len(terms), flat.size), dtype=complex)
+    out = np.empty((len(terms), pts.size), dtype=complex)
+    for _ in _power_rows(pts, terms, out):
+        pass
+    return out.T.reshape(pts.shape + (len(terms),))
+
+
+def _power_rows(pts, terms, out=None):
+    """Yields the rows (z - c)^n of ``_power_columns(pts, terms).T`` one
+    term at a time, with the same arithmetic, written into the rows of
+    ``out`` or, without it, into one reused buffer that holds a row only
+    until the next is drawn."""
+    flat = np.asarray(pts, dtype=complex).reshape(-1)
+    rows = out if out is not None else itertools.repeat(np.empty(flat.size, dtype=complex))
     prev = None
-    for row, (n, c) in zip(out, terms):
+    for row, (n, c) in zip(rows, terms):
         same_center = prev is not None and c == prev[1]
         if not same_center:
             shift = flat - c
@@ -149,7 +170,7 @@ def _power_columns(pts, terms) -> np.ndarray:
         else:
             row[:] = shift ** n
         prev, prev_row = (n, c), row
-    return out.T.reshape(pts.shape + (len(terms),))
+        yield row
 
 
 def monomial_basis(center, degree: int, domain: Optional[PlanarDomain] = None) -> RawBasis:

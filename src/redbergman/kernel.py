@@ -15,9 +15,12 @@ the angular trapezoid sum in a Gram entry is a DFT of the weight on one
 ring, so one FFT per ring and one matmul against the radial moments
 r^(n+m) give the same discrete sum, reordered (aliasing included).
 Generic rules and off-centre bases take the dense sum over all nodes,
-block by block: the weighted values of a block of nodes, split into real
-and imaginary rows, feed one real symmetric rank-k update, so only a
-block's values are ever held and the Gram comes out exactly Hermitian.
+block by block: a block writes its weighted power rows, split into real
+and imaginary parts, straight into a reused real buffer and forms one
+real symmetric product (BLAS syrk).  The blocks run on up to two
+threads, one per core, and their products are added in block order, so
+only one block's rows per thread are ever held, the Gram comes out
+exactly Hermitian, and its bits do not depend on the thread count.
 
 The Gram matrix is prescaled to unit diagonal before pivoting.  Raw
 power bases can span many decades in norm (Laurent families on thin
@@ -28,6 +31,7 @@ makes the drop test detect near-dependence instead of scale.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +43,16 @@ from .holobasis import RawBasis, WeightFn
 __all__ = ["GramMatrix", "OrthonormalBasis", "KernelEvaluator",
            "gram_matrix", "orthonormalize"]
 
-# nodes per block of the dense Gram and of node values: on a 78,508-node
-# rule with 61 elements, blocks of 1024 to 8192 nodes time alike
+# nodes per block of the dense Gram and of node values.  The Gram's bits
+# depend on it (block products are summed in block order).  On a 78,508-node
+# rule with 61 elements and two cores, the dense Gram takes 95, 62, 56 and
+# 46 ms at 1024, 2048, 4096 and 8192 nodes: a block's per-row Python work
+# holds the interpreter lock, and each thread holds a (2m, GRAM_BLOCK) buffer
 GRAM_BLOCK = 4096
+# threads that form the dense Gram's node blocks, never more than the
+# cores: the gain is measured on two cores, and each thread's buffer (4 MB
+# at 61 elements) matches the serial loop's real and complex blocks at two
+GRAM_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -84,29 +95,68 @@ def _require_finite_values(vals, basis: RawBasis, nodes):
         )
 
 
+def _pool_map(fn, items):
+    """Yields fn(item) for each item, in item order, formed on up to
+    GRAM_THREADS threads but on no more threads than this process has
+    cores; with one, in this thread.  Closing the generator early (an
+    error in the caller's loop) cancels the items not yet started and
+    waits for the running ones."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cores, GRAM_THREADS, len(items))
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
+
+
 def _dense_gram(basis: RawBasis, nodes, wq) -> np.ndarray:
     """G = sum_q wq_q e(node_q) e(node_q)^H over node blocks.  With
-    d = sqrt(wq) e split into real rows a and imaginary rows b, each block
-    adds its [a; b] [a; b]^T to one real symmetric product (BLAS syrk), and
-    G = (aa^T + bb^T) + i (ba^T - ab^T) is exactly Hermitian."""
+    d = sqrt(wq) e split into real rows a and imaginary rows b, each block's
+    [a; b] [a; b]^T is one real symmetric product (BLAS syrk), and
+    G = (aa^T + bb^T) + i (ba^T - ab^T) is exactly Hermitian.
+
+    The block products run on up to GRAM_THREADS threads (``_pool_map``)
+    and are added in block order, so the bits do not depend on the
+    number of threads.  A block writes its power rows
+    (``RawBasis.value_rows``) straight into a reused real buffer and
+    calls nothing that the benchmark tracer wraps (``RawBasis.values``),
+    whose one span stack is not thread-safe."""
     m = len(basis)
     sqrt_wq = np.sqrt(wq)
-    d = np.empty((2 * m, GRAM_BLOCK))
+    free = []  # reused block buffers, at most one per worker
+
+    def block_product(start):
+        try:
+            d = free.pop()
+        except IndexError:
+            d = np.empty((2 * m, GRAM_BLOCK))
+        try:
+            block = nodes[start:start + GRAM_BLOCK]
+            scale = sqrt_wq[start:start + GRAM_BLOCK]
+            rows = d[:, :len(block)]
+            # the finiteness check below reports what these states would warn about
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for k, row in enumerate(basis.value_rows(block)):
+                    np.multiply(row.real, scale, out=rows[k])
+                    np.multiply(row.imag, scale, out=rows[m + k])
+                return rows @ rows.T
+        finally:
+            free.append(d)
+
     p = np.zeros((2 * m, 2 * m))
-    for start in range(0, len(nodes), GRAM_BLOCK):
-        block = nodes[start:start + GRAM_BLOCK]
-        scale = sqrt_wq[start:start + GRAM_BLOCK]
-        rows = d[:, :len(block)]
-        # the finiteness check below reports what these states would warn about
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = basis.values(block).T
-            np.multiply(vals.real, scale, out=rows[:m])
-            np.multiply(vals.imag, scale, out=rows[m:])
-            p += rows @ rows.T
+    starts = range(0, len(nodes), GRAM_BLOCK)
+    for start, product in zip(starts, _pool_map(block_product, starts)):
+        p += product
         # a non-finite value leaves its row's diagonal entry non-finite, so
         # the diagonal screens each block for the element-and-node check
         if not np.all(np.isfinite(np.diagonal(p))):
-            _require_finite_values(vals.T, basis, block)
+            block = nodes[start:start + GRAM_BLOCK]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                _require_finite_values(basis.values(block), basis, block)
     return (p[:m, :m] + p[m:, m:]) + 1j * (p[m:, :m] - p[:m, m:])
 
 
@@ -312,9 +362,10 @@ class KernelEvaluator:
         (m, n_nodes), giving m values.
         """
         f = np.asarray(f_nodes)
-        terms = (self.rule.weights * self._node_nu) * f.reshape(-1, len(k_nodes))
+        wq = self.rule.weights * self._node_nu
+        kc = k_nodes.conj()
         # a 1-D sum per function: a 2-D row sum would round differently
-        vals = np.array([np.sum(row) for row in terms * k_nodes.conj()])
+        vals = np.array([np.sum((wq * row) * kc) for row in f.reshape(-1, len(k_nodes))])
         return complex(vals[0]) if f.ndim == 1 else vals
 
     def self_reproduction_residual(self, pts, k_nodes) -> np.ndarray:

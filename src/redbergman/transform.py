@@ -37,6 +37,7 @@ __all__ = [
     "branch_table",
     "adjoint_residual_matrix",
     "operator_bound_check",
+    "source_terms",
     "verify_proper",
     "verify_correspondence",
     "recover_map",
@@ -102,8 +103,18 @@ def _node_weights(onb: OrthonormalBasis) -> np.ndarray:
     return onb.rule.weights * np.asarray(onb.weight(onb.rule.nodes), dtype=float)
 
 
+def source_terms(model, onb1: OrthonormalBasis, onb2: OrthonormalBasis, n: int):
+    """(op2 v, v) for the first n elements v of the source system
+    ``onb1``: their backward branch sums at the target nodes, (n, n2), and
+    their values at the source nodes, (n, n1).  adjoint_residual_matrix
+    and operator_bound_check both read these; pass one result to both as
+    ``source`` to form it once."""
+    backward = branch_table(model, onb2.rule.nodes, forward=False)
+    return _branch_sums(onb1, n, backward), onb1.phi_values(onb1.rule.nodes, n).T
+
+
 def adjoint_residual_matrix(model, onb1: OrthonormalBasis, onb2: OrthonormalBasis,
-                            n: int, backward=None) -> np.ndarray:
+                            n: int, source=None) -> np.ndarray:
     """Residuals |<op1 u, v>_1 - <u, op2 v>_2| for the first n elements u
     of the target system ``onb2`` and v of the source system ``onb1``.
 
@@ -111,14 +122,11 @@ def adjoint_residual_matrix(model, onb1: OrthonormalBasis, onb2: OrthonormalBasi
     the backward branch sum.  Each inner product is the system's own:
     its rule and its weight, which for a proper map f must be nu o f on
     the source and nu on the target (``pullback_weight``), and 1 on both
-    for a correspondence.  Pass ``backward`` to reuse a solved
-    ``branch_table(model, onb2.rule.nodes, forward=False)``.
+    for a correspondence.  ``source`` is ``source_terms(model, onb1,
+    onb2, n)``, formed here when not given.
     """
-    if backward is None:
-        backward = branch_table(model, onb2.rule.nodes, forward=False)
+    op2v, v1 = source if source is not None else source_terms(model, onb1, onb2, n)
     op1u = _branch_sums(onb2, n, branch_table(model, onb1.rule.nodes, forward=True))
-    op2v = _branch_sums(onb1, n, backward)                          # (n, n2)
-    v1 = onb1.phi_values(onb1.rule.nodes, n).T                      # (n, n1)
     u2 = onb2.phi_values(onb2.rule.nodes, n).T                      # (n, n2)
     lhs = (op1u * _node_weights(onb1)) @ v1.conj().T
     rhs = (u2 * _node_weights(onb2)) @ op2v.conj().T
@@ -126,15 +134,12 @@ def adjoint_residual_matrix(model, onb1: OrthonormalBasis, onb2: OrthonormalBasi
 
 
 def operator_bound_check(corr: CorrespondenceModel, onb1: OrthonormalBasis,
-                         onb2: OrthonormalBasis, n: int, backward=None) -> np.ndarray:
+                         onb2: OrthonormalBasis, n: int, source=None) -> np.ndarray:
     """The n ratios <op2 v, op2 v>_2 / (p*q*<v, v>_1) for the first n
     elements v of the source system ``onb1``, op2 the backward branch
     sum; the bound says each is at most 1.  Inner products and
-    ``backward`` as in adjoint_residual_matrix."""
-    if backward is None:
-        backward = branch_table(corr, onb2.rule.nodes, forward=False)
-    op2v = _branch_sums(onb1, n, backward)
-    v1 = onb1.phi_values(onb1.rule.nodes, n).T
+    ``source`` as in adjoint_residual_matrix."""
+    op2v, v1 = source if source is not None else source_terms(corr, onb1, onb2, n)
     lhs = np.sum(_node_weights(onb2) * np.abs(op2v) ** 2, axis=1)
     rhs = np.sum(_node_weights(onb1) * np.abs(v1) ** 2, axis=1)
     return lhs / (corr.p * corr.q * rhs)

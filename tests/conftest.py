@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 import numpy as np
+import yaml
 
 from redbergman import (
     ConstantWeight,
@@ -19,6 +20,7 @@ from redbergman import (
     pullback_weight,
     reduced_filter,
 )
+from redbergman.cli import preset_text
 
 DISC = Disc(0.0, 1.0)
 
@@ -68,3 +70,21 @@ def annulus_evaluator(r_in, r_out, n_min, n_max, n_radial=48, n_angular=192):
     basis = reduced_filter(laurent_basis(0.0, n_min, n_max, rule.domain))
     one = ConstantWeight()
     return KernelEvaluator(orthonormalize(basis, rule, one))
+
+
+def generic_ellipse_config():
+    """(command, config) of the invariants_disc kernel checks on the
+    ellipse x^2 + 2 y^2 < 0.98 given as a predicate: about 19,600
+    midpoint nodes, so the dense Gram takes five node blocks."""
+    cfg = yaml.safe_load(preset_text("invariants_disc"))
+    cfg["domain"] = {
+        "type": "generic",
+        "bbox": [-1.0, 1.0, -0.71, 0.71],
+        "inequalities": [{"poly": [[2, 0, 1.0], [0, 2, 2.0], [0, 0, -0.98]],
+                          "sign": "<"}],
+        "holes": [],
+    }
+    cfg["quadrature"] = {"n_grid": 160}
+    cfg["basis"]["degree"] = 20
+    cfg["grid"] = {axis: {"kind": "cartesian", "rmax": 0.6, "n": 5} for axis in ("z", "w")}
+    return cfg.pop("run"), cfg

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import redbergman
+from conftest import generic_ellipse_config
 from redbergman.cli import CSV_BLOCK_ROWS, main, preset_names, preset_text
 
 DISC_KERNEL_CFG = """
@@ -190,6 +191,27 @@ def test_generic_domain_config(tmp_path):
     }
     cfg = write_cfg(tmp_path, yaml.safe_dump(cfg_dict))
     assert run_cli(tmp_path, "kernel", cfg) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_dense_gram_summary_does_not_depend_on_the_core_count(tmp_path):
+    """The dense Gram forms its node blocks on up to two threads, one per
+    core; a run pinned to one core writes the same summary as this
+    process."""
+    command, cfg = generic_ellipse_config()
+    path = write_cfg(tmp_path, yaml.safe_dump(cfg))
+    assert main(["--output-dir", str(tmp_path / "in"), command, path]) == 0
+    src = os.path.dirname(os.path.dirname(redbergman.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "redbergman.cli", "--output-dir",
+                           str(tmp_path / "pinned"), command, path],
+                          env=dict(os.environ, PYTHONPATH=pythonpath),
+                          preexec_fn=lambda: os.sched_setaffinity(0, {0}),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (run_dir,) = os.listdir(tmp_path / "in")
+    got = (tmp_path / "pinned" / run_dir / "summary.txt").read_bytes()
+    assert got == (tmp_path / "in" / run_dir / "summary.txt").read_bytes()
 
 
 def test_presets_list_and_show(tmp_path, capsys):

@@ -13,6 +13,8 @@ complex product over all nodes, kept below.
 import dataclasses
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -325,11 +327,29 @@ def scattered_rule(n_nodes, seed=3):
         inside=lambda z: np.abs(z) < 1.0, bbox=(-1.0, 1.0, -1.0, 1.0)))
 
 
-@pytest.mark.parametrize("n_nodes", [kernel.GRAM_BLOCK // 3, 2 * kernel.GRAM_BLOCK,
-                                     2 * kernel.GRAM_BLOCK + 123],
-                         ids=["below one block", "two blocks", "two blocks and a remainder"])
-def test_dense_gram_matches_complex_product(n_nodes):
-    rule = scattered_rule(n_nodes)
+def many_threads_map(fn, items):
+    """map(fn, items) on more threads than cores, switching threads often,
+    so blocks share the buffer list as hard as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            return list(pool.map(fn, items, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("make_rule", [
+    lambda: scattered_rule(kernel.GRAM_BLOCK // 3),
+    lambda: scattered_rule(2 * kernel.GRAM_BLOCK),
+    lambda: scattered_rule(2 * kernel.GRAM_BLOCK + 123),
+    lambda: scattered_rule(3 * kernel.GRAM_BLOCK + 123),
+    # 14,400 nodes; the basis centre is off the rule's centre
+    lambda: build_disc_quadrature(0.0, 1.0, 30, 480),
+], ids=["below one block", "two blocks", "two blocks and a remainder",
+        "three blocks and a remainder", "off-centre basis on a polar rule"])
+def test_dense_gram_matches_complex_product(make_rule, monkeypatch):
+    rule = make_rule()
     basis = monomial_basis(0.2 - 0.1j, 14, rule.domain)
     weight = PowerWeight(1.0, 0.3 + 0.4j)
     got = gram_matrix(basis, rule, weight).entries
@@ -340,6 +360,11 @@ def test_dense_gram_matches_complex_product(n_nodes):
     d = np.sqrt(np.real(np.diag(want)))
     assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-14
     assert np.array_equal(got, got.conj().T)
+    # the block products are added in block order, so the bits do not
+    # depend on how many threads form them
+    for mapper in (map, many_threads_map):
+        monkeypatch.setattr(kernel, "_pool_map", mapper)
+        assert kernel._dense_gram(basis, rule.nodes, wq).tobytes() == got.tobytes()
 
 
 def test_dense_gram_names_the_first_non_finite_value_in_a_later_block():

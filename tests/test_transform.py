@@ -25,6 +25,7 @@ from redbergman import (
     verify_proper,
 )
 from redbergman.holobasis import RawBasis
+from redbergman.transform import source_terms
 
 ONE = ConstantWeight()
 
@@ -180,6 +181,14 @@ def test_adjoint_evaluates_the_raw_basis_once_per_point_set(monkeypatch, n):
     calls.clear()
     res = adjoint_residual_matrix(W2_MINUS_Z, onb, onb, n)
     assert res.shape == (n, n)
+    assert len(calls) == 4
+    # the adjointness and bound checks share the source terms, as run_adjoint's
+    # gamma block does: still four evaluations for both
+    ratios = operator_bound_check(W2_MINUS_Z, onb, onb, n)
+    calls.clear()
+    source = source_terms(W2_MINUS_Z, onb, onb, n)
+    assert adjoint_residual_matrix(W2_MINUS_Z, onb, onb, n, source).tobytes() == res.tobytes()
+    assert operator_bound_check(W2_MINUS_Z, onb, onb, n, source).tobytes() == ratios.tobytes()
     assert len(calls) == 4
 
 
