@@ -59,8 +59,9 @@ DEFAULT_OUT = "redbergman-out"
 KNOWN_CHECKS = ("conjugate_symmetry", "diagonal_positivity", "reproduce_basis",
                 "self_reproduction", "dirichlet_pairing")
 
-# rows per write of a CSV body: one %-format per block keeps the strings
-# held while writing to a few tens of KB, where the whole body would be MBs
+# rows per write of a CSV body: joining one block's cells at a time keeps
+# the bytes held while writing to a few tens of KB, where the whole body
+# would be MBs
 CSV_BLOCK_ROWS = 256
 
 # libyaml's emitter when PyYAML was built with it, about 4x faster than
@@ -71,8 +72,8 @@ CONFIG_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 CONFIG_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-# a float's text in summaries and CSVs: 17 significant digits read back to
-# the same float; a bound method, so map() formats a column at C level
+# a float's text in summaries: 17 significant digits read back to the same
+# float; CSVs write the same text through _format_17g
 _fmt = "%.17g".__mod__
 
 
@@ -350,29 +351,165 @@ class RunDir:
         return lines
 
 
+# format(x, ".17g") has at most 24 characters: -d.dddddddddddddddde-XXX
+_FMT_WIDTH = 24
+# values per _format_block call, so that its temporaries stay near 400 KB
+# however many values a CSV has
+_FMT_BLOCK = 4096
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo into halves of 26 bits, so that the
+    products of halves in Dekker's two-product are exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**p = hi + lo exactly for p <= 45 (5**p < 2**106, so the remainder of
+# rounding 10**p to a double is itself a double), with hi split for Dekker
+_POW10_HI = np.array([float(10 ** p) for p in range(45)])
+_POW10_LO = np.array([float(10 ** p - int(h)) for p, h in enumerate(_POW10_HI)])
+_POW10_HH, _POW10_HL = _split(_POW10_HI)
+# the ASCII digits of 0..9999, four to a uint32, so one gather moves four
+_DIGIT2 = np.array([divmod(k, 10) for k in range(100)], np.uint8) + 48
+_DIGIT4 = np.concatenate(np.broadcast_arrays(_DIGIT2[:, None], _DIGIT2[None, :]),
+                         axis=2).view(np.uint32).ravel()
+
+
+def _ascii_digits(n):
+    """The 17 ASCII digits of each int64 in [1e16, 1e17), as (len(n), 17) uint8."""
+    chunks = np.empty((len(n), 5), np.uint32)
+    for c in range(4, 0, -1):
+        n, low = np.divmod(n, 10000)
+        chunks[:, c] = _DIGIT4[low]
+    digits = chunks.view(np.uint8)
+    digits[:, 3] = 48 + n  # the leading digit, in the first chunk's last byte
+    return digits[:, 3:]
+
+
+def _round17(values):
+    """(n, exp10, ok) for each float64 x: n = |x|·10**(16 - exp10) rounded
+    to an integer, exp10 = floor(log10|x|), and ok where n is certified to
+    be x's 17 significant digits, exactly rounded.
+
+    For |x| in [1e-28, 1e17), |x|·10**p is formed as an unevaluated sum
+    s + r, off by less than 4e-15: Dekker's two-product of |x| and the
+    exact double-double 10**p, closed by a fast two-sum.  n is taken only
+    when 10**16 <= s + r, n < 10**17 and the fraction of s + r is more
+    than 1e-9 from 1/2; ok is False for zeros, inf, nan, subnormals, |x|
+    out of range, near-ties and a misestimated exponent."""
+    x = np.abs(values)
+    with np.errstate(divide="ignore"):
+        p = 16 - np.floor(np.log10(x))
+    inrange = (p >= 0) & (p <= 44)
+    # out-of-range values compute 1.0 * 10**0, which keeps the arithmetic finite
+    x = np.where(inrange, x, 1.0)
+    p = np.where(inrange, p, 0).astype(np.intp)
+    (xh, xl), hh, hl = _split(x), _POW10_HH[p], _POW10_HL[p]
+    s = x * _POW10_HI[p]
+    r = ((xh * hh - s) + xh * hl + xl * hh) + xl * hl + x * _POW10_LO[p]
+    total = s + r
+    r -= total - s  # now total + r == s + r exactly
+    whole = np.floor(r)
+    r -= whole  # the fraction
+    # total >= 2**53 is a whole number, so n is floor(total + r)
+    n = total.astype(np.int64) + whole.astype(np.int64)
+    ok = inrange & (n >= 10 ** 16) & (np.abs(r - 0.5) > 1e-9)
+    n += r > 0.5
+    ok &= n < 10 ** 17
+    return n, 16 - p, ok
+
+
+def _format_17g(values):
+    """format(x, ".17g") of each float64 of ``values``, as an ``S24``
+    array, formatted _FMT_BLOCK values at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty(len(values), f"S{_FMT_WIDTH}")
+    for start in range(0, len(values), _FMT_BLOCK):
+        _format_block(values[start:start + _FMT_BLOCK], out[start:start + _FMT_BLOCK])
+    return out
+
+
+def _format_block(values, out):
+    """Write format(x, ".17g") of each x of ``values`` to ``out``: from
+    _round17's certified digits where it has them, laid out in %g form,
+    and through format() itself elsewhere."""
+    n, exp10, ok = _round17(values)
+    # accepted values in runs of one exponent, each laid out by slices
+    acc = np.flatnonzero(ok)
+    acc = acc[np.argsort(exp10[acc])]
+    exp10 = exp10[acc]
+    digits = _ascii_digits(n[acc])
+    # significant digits left once trailing zeros are stripped
+    kept = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    text = np.zeros((len(acc), _FMT_WIDTH), np.uint8)
+    starts = np.flatnonzero(np.diff(exp10, prepend=-100)).tolist()
+    for lo, hi in zip(starts, [*starts[1:], len(acc)]):
+        e, d, k, t = int(exp10[lo]), digits[lo:hi], kept[lo:hi], text[lo:hi]
+        if e < -4:  # d.ddde-XX
+            t[:, 0] = d[:, 0]
+            t[:, 1] = ord(".")
+            t[:, 2:18] = d[:, 1:]
+            length = k + (k > 1)
+        elif e < 0:  # 0.000ddd
+            t[:, :1 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
+            t[:, 1 - e:18 - e] = d
+            length = k + 1 - e
+        else:  # ddd.ddd, every integer digit kept
+            t[:, :e + 1] = d[:, :e + 1]
+            t[:, e + 1] = ord(".")
+            t[:, e + 2:18] = d[:, e + 1:]
+            length = np.where(k > e + 1, k + 1, e + 1)
+        # NUL from the end of the text: stripped zeros, a '.' left bare
+        t *= np.arange(_FMT_WIDTH) < length[:, None]
+        if e < -4:
+            t[np.arange(len(t))[:, None], length[:, None] + np.arange(4)] = \
+                np.frombuffer(b"e-%02d" % -e, np.uint8)
+    neg = np.flatnonzero(np.signbit(values[acc]))
+    text[neg, 1:] = text[neg, :-1]
+    text[neg, 0] = ord("-")
+
+    out.view(np.uint8).reshape(len(values), _FMT_WIDTH)[acc] = text
+    rest = np.flatnonzero(~ok)
+    out[rest] = [format(v, ".17g").encode() for v in values[rest].tolist()]
+
+
+def _csv_cells(columns):
+    """The text of each value of each array in ``columns`` followed by its
+    separator, a comma or, in the last column, the row's CRLF, as one
+    ``S26`` array in the order of the concatenated columns."""
+    text = _format_17g(np.concatenate(columns))
+    cells = np.zeros((len(text), _FMT_WIDTH + 2), np.uint8)
+    cells[:, :_FMT_WIDTH] = text.view(np.uint8).reshape(len(text), _FMT_WIDTH)
+    ends = cells.argmin(axis=1)  # the first NUL: no text has one
+    rows = np.arange(len(text))
+    cells[rows, ends] = ord(",")
+    last = len(text) - len(columns[-1])
+    cells[rows[last:], ends[last:]] = ord("\r")
+    cells[rows[last:], ends[last:] + 1] = ord("\n")
+    return cells.view(f"S{_FMT_WIDTH + 2}").ravel()
+
+
 def write_csv(path, header, table):
     """Write ``header`` and the rows of the ``(n_rows, len(header))``
     float array ``table`` as CSV: excel dialect (CRLF, nothing quoted),
     each value as ``.17g``.  Each column formats each distinct bit
     pattern once, so 0.0 and -0.0 keep their own strings."""
     table = np.asarray(table, dtype=np.float64)
-    # every column's distinct strings in one list; index[r, c] is the
-    # position of cell (r, c)'s string in it
-    strs = []
+    # every column's distinct values; index[r, c] is the position of cell
+    # (r, c)'s value among them all
+    distinct = []
     index = np.empty(table.shape, dtype=np.intp)
     for c, bits in enumerate(table.view(np.int64).T):
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        index[:, c] = inverse + len(strs)
-        strs += map(_fmt, distinct.view(np.float64).tolist())
-    strs = np.array(strs, dtype=object)
-    row = ",".join(["%s"] * len(header)) + "\r\n"
-    block = row * CSV_BLOCK_ROWS
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+        values, inverse = np.unique(bits, return_inverse=True)
+        index[:, c] = inverse + sum(map(len, distinct))
+        distinct.append(values.view(np.float64))
+    cells = _csv_cells(distinct)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(index), CSV_BLOCK_ROWS):
-            cells = index[start:start + CSV_BLOCK_ROWS]
-            template = block if len(cells) == CSV_BLOCK_ROWS else row * len(cells)
-            fh.write(template % tuple(strs[cells.ravel()].tolist()))
+            fh.write(b"".join(cells[index[start:start + CSV_BLOCK_ROWS].ravel()].tolist()))
 
 
 # ---------------------------------------------------------------------------

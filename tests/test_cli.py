@@ -730,19 +730,63 @@ def test_write_csv_matches_csv_writer(tmp_path, table):
                          ids=["0", "1", "B-1", "B", "B+1", "3B+7"])
 def test_write_csv_row_blocks_match_csv_writer(tmp_path, n_rows):
     """Tables around the row-block size B: every block boundary keeps each
-    row whole and in order."""
+    row whole and in order.  The last column mixes residual-scale values
+    with magnitudes of 1e17 and more, so rows laid out in scientific form
+    and rows formatted by format() itself cross the boundaries."""
     from redbergman.cli import write_csv
 
     rows = np.arange(n_rows)
-    distinct = np.random.default_rng(n_rows).standard_normal(n_rows)
+    rng = np.random.default_rng(n_rows)
+    distinct = rng.standard_normal(n_rows)
     grid = np.linspace(-0.9, 0.9, 7)[rows % 7]
     special = np.resize(np.array(SPECIAL_FLOATS), n_rows)
-    table = np.column_stack((distinct, grid, special))
+    scientific = np.where(rows % 3, 10.0 ** rng.uniform(-18, -12, n_rows),
+                          10.0 ** rng.uniform(17, 19, n_rows)) * np.where(rows % 2, -1.0, 1.0)
+    table = np.column_stack((distinct, grid, special, scientific))
     assert len(np.unique(distinct)) == n_rows
-    header = ["distinct", "grid", "special"]
+    header = ["distinct", "grid", "special", "scientific"]
     path = tmp_path / "t.csv"
     write_csv(path, header, table)
     assert path.read_bytes() == csv_writer_oracle(header, table.tolist())
+
+
+def format_edge_cases():
+    """Floats at the seams of a bulk .17g: powers of ten and their
+    neighbours (the switches to scientific form at 1e-4 and 1e17 among
+    them), exact decimal ties and their neighbours, subnormals, and the
+    signed zeros, infinities, NaNs and largest floats."""
+    powers = np.array([float(f"1e{k}") for k in range(-30, 21)])
+    # k * 2**-j is k * 5**j * 10**-j exactly: with k odd and k * 5**j of 18
+    # digits, its 18th significant digit is a final 5
+    rng = np.random.default_rng(5)
+    ties = np.array([k * 2.0 ** -j for j in range(3, 26)
+                     for k in rng.integers(10 ** 17 // 5 ** j, min(10 ** 18 // 5 ** j, 2 ** 53), 40)
+                     if k % 2 and 10 ** 17 <= k * 5 ** j < 10 ** 18])
+    subnormals = rng.integers(1, 2 ** 52, 200, dtype=np.uint64).view(np.float64)
+    seams = np.concatenate([powers, ties, subnormals, [2.2250738585072009e-308]])
+    seams = np.concatenate([seams, np.nextafter(seams, 0), np.nextafter(seams, np.inf)])
+    return np.concatenate([seams, -seams, SPECIAL_FLOATS])
+
+
+def test_format_17g_matches_format():
+    """The CSV writer's bulk formatter against format(x, ".17g") on 200,000
+    seeded raw bit patterns, half of them with exponents in the range the
+    formatter certifies, and on the edge cases above."""
+    from redbergman.cli import _format_17g, _round17
+
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64 - 1, 100_000, dtype=np.uint64, endpoint=True)
+    # sign and mantissa kept, biased exponent for 2**-96 .. 2**59
+    exponent = rng.integers(1023 - 96, 1023 + 60, bits.size, dtype=np.uint64)
+    certified = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponent << np.uint64(52))
+    random = np.concatenate([bits, certified]).view(np.float64)
+    values = np.concatenate([random, format_edge_cases()])
+    assert _format_17g(values).tolist() == [format(x, ".17g").encode() for x in values.tolist()]
+    # the bulk path, not format(), formats nearly every random value in its
+    # range; it leaves exact ties, common among floats above 1e10 whose
+    # binary fractions end within 17 digits, to format()
+    in_range = random[(np.abs(random) >= 1e-28) & (np.abs(random) < 1e17)]
+    assert len(in_range) > 100_000 and np.mean(_round17(in_range)[2]) > 0.98
 
 
 PRINTABLE_ASCII = "".join(map(chr, range(32, 127)))
