@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 gated-residual failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -312,7 +313,7 @@ def build_grids(cfg, key):
 def build_side(cfg, suffix=""):
     """(domain, rule, orthonormal, prefilter basis size) of one side, each
     built once from domain<suffix>, quadrature<suffix> and basis<suffix>;
-    orthonormal(weight) orthonormalizes the basis on the rule."""
+    orthonormal(weight) orthonormalizes the basis once per weight object."""
     domain = build_domain(cfg, "domain" + suffix)
     rule = build_rule(cfg, domain, "quadrature" + suffix)
     basis, n_prefilter = build_basis(cfg, domain, "basis" + suffix)
@@ -320,7 +321,21 @@ def build_side(cfg, suffix=""):
     drop_tol = cfg_get(cfg, "drop_tol", 1e-10, float)
     if not drop_tol > 0:
         raise ConfigError(f"'drop_tol' must be positive, got {drop_tol!r}")
-    return domain, rule, lambda weight: orthonormalize(basis, rule, weight, drop_tol), n_prefilter
+    orthonormal = functools.cache(lambda weight: orthonormalize(basis, rule, weight, drop_tol))
+    return domain, rule, orthonormal, n_prefilter
+
+
+def build_sides(cfg):
+    """(d1, orthonormal1, d2, orthonormal2); side 2 is side 1 when its
+    domain, quadrature and basis blocks have side 1's JSON text, in which
+    1, 1.0 and true differ, so reuse never skips a side-2 config error."""
+    d1, _, orthonormal1, _ = build_side(cfg)
+    if all(json.dumps(cfg_get(cfg, k, None), sort_keys=True, default=str)
+           == json.dumps(cfg_get(cfg, k + "2", None), sort_keys=True, default=str)
+           for k in ("domain", "quadrature", "basis")):
+        return d1, orthonormal1, d1, orthonormal1
+    d2, _, orthonormal2, _ = build_side(cfg, "2")
+    return d1, orthonormal1, d2, orthonormal2
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +656,7 @@ def run_verify(cfg, run: RunDir):
 
     csv = cfg_get(cfg, "output.csv", True, bool)
     zs, ws = build_grids(cfg, "grid")
-    d1, _, orthonormal1, _ = build_side(cfg)
-    d2, _, orthonormal2, _ = build_side(cfg, "2")
+    d1, orthonormal1, d2, orthonormal2 = build_sides(cfg)
     model = build_map(cfg, d1, d2) if has_map else build_correspondence(cfg, d1, d2)
     ev1 = KernelEvaluator(orthonormal1(pullback_weight(weight, model)))
     ev2 = KernelEvaluator(orthonormal2(weight))
@@ -674,8 +688,7 @@ def run_adjoint(cfg, run: RunDir):
     nu o f on the source and nu on the target."""
     weight = build_weight(cfg)
     n_el = cfg_get(cfg, "adjoint.n_elements", 5, POSITIVE_INT)
-    d1, _, orthonormal1, _ = build_side(cfg)
-    d2, _, orthonormal2, _ = build_side(cfg, "2")
+    d1, orthonormal1, d2, orthonormal2 = build_sides(cfg)
     blocks = []  # (summary name, model, nu), every model built before any numerics
     if cfg_get(cfg, "correspondence", None) is not None:
         blocks.append(("gamma", build_correspondence(cfg, d1, d2), ConstantWeight()))

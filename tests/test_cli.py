@@ -499,11 +499,14 @@ def test_checks_never_hold_a_node_by_basis_array(tmp_path):
     assert peak < len(ev.rule.nodes) * len(ev.onb.raw) * 16
 
 
+# sides: the suffixes whose domain, quadrature and basis blocks are built;
+# a side 2 whose blocks equal side 1's is side 1
 @pytest.mark.parametrize("preset, sides", [
-    ("proper_square_disc", ("", "2")),
-    ("corr_sqrt_disc", ("", "2")),
-    ("adjoint_disc", ("", "2")),
+    ("proper_square_disc", ("",)),
+    ("corr_sqrt_disc", ("",)),
+    ("adjoint_disc", ("",)),
     ("recover_blaschke", ("",)),
+    ("proper_square_annulus", ("", "2")),
 ])
 def test_pipelines_build_each_side_once(tmp_path, monkeypatch, preset, sides):
     from redbergman import cli
@@ -525,12 +528,78 @@ def test_pipelines_build_each_side_once(tmp_path, monkeypatch, preset, sides):
     cfg = yaml.safe_load(preset_text(preset))
     command = cfg.pop("run")
     assert run_cli(tmp_path, command, write_cfg(tmp_path, yaml.safe_dump(cfg))) == 0
-    # recover reads the target domain alone
-    want = Counter({("build_domain", "domain"): 1, ("build_domain", "domain2"): 1})
+    want = Counter()
     for suffix in sides:
-        want.update({("build_rule", "quadrature" + suffix): 1,
+        want.update({("build_domain", "domain" + suffix): 1,
+                     ("build_rule", "quadrature" + suffix): 1,
                      ("build_basis", "basis" + suffix): 1})
+    if command == "recover":
+        # recover reads the target domain alone
+        want["build_domain", "domain2"] += 1
     assert calls == want
+
+
+def count_systems(monkeypatch):
+    """Counts cli.orthonormalize calls, in the returned list."""
+    from redbergman import cli
+
+    built = []
+    real = cli.orthonormalize
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "orthonormalize", counting)
+    return built
+
+
+@pytest.mark.parametrize("preset, systems", [
+    ("corr_sqrt_disc", 1),
+    ("proper_square_disc", 1),
+    # the weight on the target and its pull-back on the source
+    ("weighted_square_disc", 2),
+    # gamma in weight 1 on both sides, lambda in nu o f and nu
+    ("adjoint_disc", 3),
+])
+def test_equal_sides_build_one_system_per_weight(tmp_path, monkeypatch, preset, systems):
+    built = count_systems(monkeypatch)
+    cfg = yaml.safe_load(preset_text(preset))
+    command = cfg.pop("run")
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, yaml.safe_dump(cfg))) == 0
+    assert len(built) == systems
+
+
+def test_a_side_spelt_differently_is_built_again_with_the_same_results(tmp_path, monkeypatch):
+    built = count_systems(monkeypatch)
+    cfg = yaml.safe_load(preset_text("corr_sqrt_disc"))
+    command = cfg.pop("run")
+    spelt = yaml.safe_load(yaml.safe_dump(cfg))
+    del spelt["basis2"]["center"]                 # [0.0, 0.0] is the default
+    runs = []  # (systems built, summary lines but the config hash, which names the config)
+    for name, c in (("reused", cfg), ("spelt", spelt)):
+        built.clear()
+        assert main(["--output-dir", str(tmp_path / name), command,
+                     write_cfg(tmp_path, yaml.safe_dump(c), name + ".yaml")]) == 0
+        summary = next((tmp_path / name).iterdir()) / "summary.txt"
+        runs.append((len(built), [line for line in summary.read_bytes().splitlines()
+                                  if not line.startswith(b"config_hash")]))
+    assert [n for n, _ in runs] == [1, 2]
+    assert runs[0][1] == runs[1][1]
+
+
+def test_verify_with_no_kept_sample_fails_its_gate(tmp_path):
+    # w = 0 is the critical value of z^2: every sample is excluded
+    cfg = write_cfg(tmp_path, preset_text("proper_square_disc"))
+    assert run_cli(tmp_path, "verify", cfg, "--set", "grid.w={kind: points, values: [[0, 0]]}",
+                   "--set", "output.csv=true") == 1
+    rd = only_run_dir(tmp_path, "verify-")
+    fields = dict(line.split(" = ") for line in (rd / "summary.txt").read_text().splitlines())
+    assert fields["status"] == "gate_failed"
+    assert fields["excluded"] == fields["n_samples"] == "317"
+    assert fields["gate_value"] == "inf"
+    assert (rd / "samples.csv").read_text().splitlines() == [
+        "re_z,im_z,re_w,im_w,abs_residual,abs_lhs"]
 
 
 def generic_domain_with(term):
@@ -586,12 +655,16 @@ def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys,
      "correspondence"),
     ("verify", preset_text("corr_sqrt_disc"), "correspondence.terms=[[0, 2, 1], [-1, 0, -1]]",
      "'correspondence.terms[1]'"),
+    # equal to side 1's value in Python, so a reused side 1 would hide the error
+    ("verify", preset_text("proper_square_disc"), "basis2.reduced=1", "'basis2.reduced'"),
+    ("verify", preset_text("proper_square_disc"), "quadrature2.n_radial=40.0",
+     "'quadrature2.n_radial'"),
 ], ids=["n_min-text", "n_max-list", "n_min-above-n_max", "n_elements-text",
         "check-tolerance-text", "drop_tol-text", "drop_tol-zero", "tolerance-text",
         "weight-alpha-list", "weight-value-list", "radial-coeffs-scalar",
         "radial-coeffs-entry-text", "oracle-alpha-text", "degree-bool", "grid-n-bool",
         "map-m-float", "radius-text", "csv-string", "reduced-int", "constant-correspondence",
-        "negative-degree"])
+        "negative-degree", "side2-reduced-int", "side2-n_radial-float"])
 def test_malformed_numeric_fields_are_config_errors(tmp_path, capsys, command, text,
                                                     override, key):
     assert run_cli(tmp_path, command, write_cfg(tmp_path, text), "--set", override) == 2

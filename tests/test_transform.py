@@ -1,6 +1,7 @@
 """Branch sums, adjointness, transformation residuals, recovery."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -446,6 +447,78 @@ def test_non_finite_grid_point_is_rejected():
     ev = disc_evaluator(20, 24, 64)
     with pytest.raises(ValueError, match="non-finite"):
         verify_correspondence(W2_MINUS_Z, ev, ev, np.array([np.nan, 0.3]), np.array([0.2]))
+
+
+def direct_sums(model, ev1, ev2, zs, ws):
+    """Both sides of the transformation formula on the grid product, one
+    eval_kernel_grid per branch and the branch sums as explicit loops."""
+    fp, fd = branch_table(model, zs, forward=True)
+    bp, bd = branch_table(model, ws, forward=False)
+    lhs = sum(fd[:, [i]] * ev2.eval_kernel_grid(fp[:, i], ws) for i in range(fp.shape[1]))
+    rhs = sum(ev1.eval_kernel_grid(zs, bp[:, j]) * bd[:, j].conj()
+              for j in range(bp.shape[1]))
+    return lhs, rhs
+
+
+def sweep_cases():
+    """(model, ev1, ev2, z grid, w grid) for maps, correspondences with
+    p != q, annuli and a weighted map."""
+    from conftest import corr_from_terms
+    from redbergman import KernelEvaluator, RadialPolyWeight
+
+    ev = disc_evaluator()
+    # w = 0 is a critical value of z^2 and of w^2 - z^2 and w^2 - z^3
+    zg, wg = disc_grid(0.7, 11), np.r_[disc_grid(0.49, 10), 0.0]
+    yield PowerMap(2), ev, ev, zg, wg
+    yield BlaschkeProduct([0.3, -0.2 + 0.1j]), ev, ev, disc_grid(0.6, 11), wg
+    for corr in (W2_MINUS_Z, W2_MINUS_Z2, corr_from_terms([(0, 2, 1.0), (3, 0, -1.0)])):
+        yield corr, ev, ev, zg, wg
+    ev1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41)
+    ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
+    yield (PowerMap(2, ev1.rule.domain, ev2.rule.domain), ev1, ev2,
+           annulus_grid(0.75, 0.95, 4, 8), annulus_grid(0.55, 0.95, 5, 8))
+    nu = RadialPolyWeight([1.0, 0.5, 2.0])
+    rule = build_disc_quadrature(0.0, 1.0, 24, 64)
+    basis = monomial_basis(0.0, 16, rule.domain)
+    ev1 = KernelEvaluator(orthonormalize(basis, rule, pullback_weight(nu, PowerMap(2))))
+    ev2 = KernelEvaluator(orthonormalize(basis, rule, nu))
+    yield PowerMap(2), ev1, ev2, zg, wg
+
+
+def test_sweep_matches_the_direct_branch_sums(monkeypatch):
+    from redbergman import KernelEvaluator
+
+    calls = Counter()
+    for cls, name in ((KernelEvaluator, "eval_kernel_grid"), (RawBasis, "values")):
+        def counting(self, *args, _real=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(cls, name, counting)
+    for model, ev1, ev2, zg, wg in sweep_cases():
+        calls.clear()
+        report = verify_correspondence(model, ev1, ev2, zg, wg)
+        # the branch sums at the branch points and the values at the grid points
+        assert calls == {"values": 4}
+        kz, kw = report.kept.any(axis=1), report.kept.any(axis=0)
+        assert report.excluded < report.n_samples
+        assert np.all(report.kept == kz[:, None] & kw[None, :])
+        lhs, rhs = direct_sums(model, ev1, ev2, zg[kz], wg[kw])
+        tol = 1e-13 * report.lhs_scale
+        assert np.max(np.abs(report.lhs[np.ix_(kz, kw)] - lhs)) <= tol
+        assert np.max(np.abs(report.rhs[np.ix_(kz, kw)] - rhs)) <= tol
+        assert np.all(np.isnan(report.lhs[~report.kept]))
+
+
+@pytest.mark.parametrize("model, z, w", [
+    (PowerMap(2), disc_grid(0.6, 9), np.array([0.0])),      # critical value of z^2
+    (W2_MINUS_Z, np.array([0.0]), disc_grid(0.6, 9)),       # double root of w^2 = z
+], ids=["no-w", "no-z"])
+def test_sweep_with_no_kept_sample_fails_every_gate(model, z, w):
+    ev = disc_evaluator(20, 24, 64)
+    report = verify_correspondence(model, ev, ev, z, w)
+    assert report.excluded == report.n_samples == len(z) * len(w)
+    assert report.max_rel_residual == report.max_abs_residual == np.inf
+    assert np.all(np.isnan(report.lhs)) and np.all(np.isnan(report.rhs))
 
 
 # ---------------------------------------------------------------------------
