@@ -311,7 +311,7 @@ def build_grids(cfg, key):
 
 
 def build_side(cfg, suffix=""):
-    """(domain, rule, orthonormal, prefilter basis size) of one side, each
+    """(domain, basis, orthonormal, prefilter basis size) of one side, each
     built once from domain<suffix>, quadrature<suffix> and basis<suffix>;
     orthonormal(weight) orthonormalizes the basis once per weight object."""
     domain = build_domain(cfg, "domain" + suffix)
@@ -322,7 +322,7 @@ def build_side(cfg, suffix=""):
     if not drop_tol > 0:
         raise ConfigError(f"'drop_tol' must be positive, got {drop_tol!r}")
     orthonormal = functools.cache(lambda weight: orthonormalize(basis, rule, weight, drop_tol))
-    return domain, rule, orthonormal, n_prefilter
+    return domain, basis, orthonormal, n_prefilter
 
 
 def build_sides(cfg):
@@ -581,15 +581,18 @@ def _run_checks(tols, ev, zs, run):
     sample = zs[:: max(1, len(zs) // 8)][:8]
     if {"conjugate_symmetry", "diagonal_positivity"} & tols.keys():
         k = ev.eval_kernel_grid(sample, sample)
-    # every node sum reads its rows from one node_values pass: the first m
-    # orthonormal elements, K(., zeta) and K(., P) for the points P of sample[:4]
+    # every node sum is an entry of one node_sums matrix, over the first m
+    # orthonormal elements, K(., zeta), K(., P) for the points P of
+    # sample[:4] and, for the Dirichlet pairing, 2 (z - c0) last
     zeta = complex(sample[len(sample) // 2])
+    c0 = getattr(ev.rule.domain, "center", 0.0)
     m = min(5, ev.onb.retained_count) if "reproduce_basis" in tols else 0
     zetas = [zeta] if {"reproduce_basis", "dirichlet_pairing"} & tols.keys() else []
     self_pts = sample[:4] if "self_reproduction" in tols else sample[:0]
+    extra = [lambda z: 2.0 * (z - c0)] if "dirichlet_pairing" in tols else []
     rows = np.vstack([ev.onb.coeffs[:m], ev.kernel_rows(np.r_[zetas, self_pts])])
-    f, k_zeta, k_self = np.split(ev.node_values(rows) if len(rows) else rows,
-                                 [m, m + len(zetas)])
+    s = ev.node_sums(rows, extra) if len(rows) else None
+    own = slice(m + len(zetas), len(rows))
     all_ok = True
     for name, tol in tols.items():
         if name == "conjugate_symmetry":
@@ -597,15 +600,14 @@ def _run_checks(tols, ev, zs, run):
         elif name == "diagonal_positivity":
             res = 0.0 if np.all(np.diagonal(k).real > 0) else float("inf")
         elif name == "reproduce_basis":
-            got = ev.reproduce(f, k_zeta[0])
             want = ev.onb.phi_values(np.asarray(zeta))[:m]
-            res = float(np.max(np.abs(got - want)))
+            res = float(np.max(np.abs(s[:m, m] - want)))
         elif name == "self_reproduction":
-            res = float(np.max(ev.self_reproduction_residual(self_pts, k_self)))
+            p = ev.onb.phi_values(self_pts)
+            # K(P_i, P_j) as 1-D sums, so an entry does not depend on the batch
+            res = float(np.max(np.abs(np.sum(p[:, None] * p.conj(), axis=-1) - s[own, own].T)))
         elif name == "dirichlet_pairing":
-            c0 = getattr(ev.rule.domain, "center", 0.0)
-            pairing = ev.reproduce(2.0 * (ev.rule.nodes - c0), k_zeta[0])
-            res = abs(pairing - 2.0 * (zeta - c0))
+            res = abs(s[-1, m] - 2.0 * (zeta - c0))
             res = max(res, abs(ev.kernel_primitive(zeta, zeta)))
         ok = res <= tol
         all_ok = all_ok and ok
@@ -621,8 +623,13 @@ def run_kernel(cfg, run: RunDir):
     csv = cfg_get(cfg, "output.csv", True, bool)
     zs, ws = build_grids(cfg, "grid")
     ozs, ows = build_grids(cfg, "oracle.grid") if cfg_get(cfg, "oracle.grid", None) else (zs, ws)
-    domain, _, orthonormal, n_raw = build_side(cfg)
+    domain, basis, orthonormal, n_raw = build_side(cfg)
     oracle = build_oracle(cfg, domain)
+    if "dirichlet_pairing" in tols and any(e.power == -1 for e in basis.elements):
+        raise ConfigError("checks.dirichlet_pairing reads the kernel primitive, and the "
+                          "basis holds (z - c)^-1, whose primitive is a logarithm: keep "
+                          "-1 out of basis.n_min..basis.n_max, or set basis.reduced: true "
+                          "when c is the annulus centre")
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
             gram_condition=ev.onb.gram_condition)

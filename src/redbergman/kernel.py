@@ -43,7 +43,7 @@ from .holobasis import RawBasis, WeightFn
 __all__ = ["GramMatrix", "OrthonormalBasis", "KernelEvaluator",
            "gram_matrix", "orthonormalize"]
 
-# nodes per block of the dense Gram and of node values.  The Gram's bits
+# nodes per block of the dense Gram and of the checks' node sums.  Their bits
 # depend on it (block products are summed in block order).  On a 78,508-node
 # rule with 61 elements and two cores, the dense Gram takes 95, 62, 56 and
 # 46 ms at 1024, 2048, 4096 and 8192 nodes: a block's per-row Python work
@@ -297,17 +297,20 @@ class KernelEvaluator:
     anti-holomorphic derivatives.
 
     Evaluation methods are pure and safe to call concurrently.  The
-    quadrature checks read node values only through ``node_values``, of
-    coefficient rows over the raw basis (``coeffs[:m]``, ``kernel_rows``),
-    one block of nodes at a time; ``reproduce`` and
-    ``self_reproduction_residual`` are the check arithmetic on the node
-    rows handed to them.
+    quadrature checks read the nodes only through ``node_sums``: the
+    matrix of weighted node sums of a few functions, given as
+    coefficient rows over the raw basis (``coeffs[:m]``, ``kernel_rows``)
+    and as callables of a node block, formed one block of nodes at a
+    time, so no function is ever held at every node.
     """
 
     def __init__(self, onb: OrthonormalBasis):
         self.onb = onb
         self.rule = onb.rule
-        self._node_nu = np.asarray(onb.weight(onb.rule.nodes), dtype=float)
+
+    @functools.cached_property
+    def _node_nu(self) -> np.ndarray:
+        return np.asarray(self.onb.weight(self.rule.nodes), dtype=float)
 
     @functools.cached_property
     def _node_phi(self) -> np.ndarray:
@@ -318,16 +321,30 @@ class KernelEvaluator:
         p = self.onb.phi_values(np.atleast_1d(np.asarray(pts, dtype=complex)))
         return p.conj() @ self.onb.coeffs
 
-    def node_values(self, rows) -> np.ndarray:
-        """(k, n_nodes) values at the nodes of the k functions rows @ raw
-        for (k, n_raw) coefficient rows: one evaluation of the raw basis
-        and one (k x n_raw)(n_raw x block) product per GRAM_BLOCK nodes."""
+    def node_sums(self, rows, extra=()) -> np.ndarray:
+        """(k, k) matrix S[a, b] = sum_q w_q nu_q f_a(node_q) conj(f_b(node_q))
+        of the functions rows @ raw, for (k_rows, n_raw) coefficient rows,
+        followed by the callables ``extra`` of a node block.
+
+        S[a, b] is the discrete inner product <f_a, f_b>: against a kernel
+        row K(., zeta) it is the reproducing integral, f_a(zeta) when f_a
+        lies in the spanned space.  Per GRAM_BLOCK nodes: one evaluation
+        of the raw basis, one (k_rows x n_raw)(n_raw x block) product into
+        a reused buffer, and one complex (k x block)(block x k) product
+        added to S in block order."""
         nodes = self.rule.nodes
-        out = np.empty((len(rows), len(nodes)), dtype=complex)
+        k = len(rows) + len(extra)
+        f = np.empty((k, min(GRAM_BLOCK, len(nodes))), dtype=complex)
+        s = np.zeros((k, k), dtype=complex)
         for start in range(0, len(nodes), GRAM_BLOCK):
-            block = slice(start, start + GRAM_BLOCK)
-            out[:, block] = rows @ self.onb.raw.values(nodes[block]).T
-        return out
+            blk = slice(start, start + GRAM_BLOCK)
+            block = nodes[blk]
+            fb = f[:, :len(block)]
+            np.matmul(rows, self.onb.raw.values(block).T, out=fb[:len(rows)])
+            for a, fn in enumerate(extra, len(rows)):
+                fb[a] = fn(block)
+            s += (fb * (self.rule.weights[blk] * self._node_nu[blk])) @ fb.conj().T
+        return s
 
     def eval_kernel(self, z, w) -> complex:
         """K(z, w), one entry of eval_kernel_grid.  Exactly
@@ -351,35 +368,6 @@ class KernelEvaluator:
         pw = self.onb.phi_deriv_values(np.atleast_1d(np.asarray(ws, dtype=complex)), beta)
         return pz @ pw.conj().T
 
-    def reproduce(self, f_nodes, k_nodes):
-        """Discrete reproducing integral
-        sum_q w_q f(node_q) conj(K(node_q, zeta)) nu(node_q) against the
-        node row ``k_nodes`` of K(., zeta).
-
-        Returns f(zeta) when f lies in the spanned space, the projection
-        value otherwise.  ``f_nodes`` is one function's node values
-        (n_nodes,), giving a complex, or m functions' node rows
-        (m, n_nodes), giving m values.
-        """
-        f = np.asarray(f_nodes)
-        wq = self.rule.weights * self._node_nu
-        kc = k_nodes.conj()
-        # a 1-D sum per function: a 2-D row sum would round differently
-        vals = np.array([np.sum((wq * row) * kc) for row in f.reshape(-1, len(k_nodes))])
-        return complex(vals[0]) if f.ndim == 1 else vals
-
-    def self_reproduction_residual(self, pts, k_nodes) -> np.ndarray:
-        """(n, n) matrix of |K(P_i, P_j) - sum_q w_q K(node_q, P_j)
-        conj(K(node_q, P_i)) nu_q| for n points P and their kernel node
-        rows ``k_nodes`` (n, n_nodes); an exact identity for the discrete
-        orthonormal system."""
-        p = self.onb.phi_values(np.atleast_1d(np.asarray(pts, dtype=complex)))
-        wk = (self.rule.weights * self._node_nu) * k_nodes
-        kc = k_nodes.conj()
-        # 1-D sums per entry, so an entry does not depend on the batch size
-        return np.array([[abs(np.sum(p[i] * p[j].conj()) - np.sum(wk[j] * kc[i]))
-                          for j in range(len(p))] for i in range(len(p))])
-
     def kernel_primitive(self, xi, z) -> complex:
         """Kernel primitive M(z, xi) with M(xi, xi) = 0, so that
         dM/dz = K(z, xi).  Requires every contributing basis element to
@@ -391,6 +379,5 @@ class KernelEvaluator:
 
     def orthonormality_residual(self) -> float:
         """max |<phi_i, phi_j> - delta_ij| in the discrete inner product."""
-        wq = self.rule.weights * self._node_nu
-        g = (self._node_phi * wq[:, None]).conj().T @ self._node_phi
-        return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+        g = self.node_sums(self.onb.coeffs)
+        return float(np.max(np.abs(g - np.eye(len(g)))))

@@ -197,18 +197,18 @@ def test_criterion_9_structural_invariants():
     positive = all(ev.eval_kernel(z, z).real > 0 for z in pts)
 
     xi = 0.3
-    k_nodes = ev.node_values(ev.kernel_rows(np.r_[pts[:8], xi]))
-    phi_nodes = ev.onb.phi_values(ev.rule.nodes, 5).T
+    # one node_sums matrix over phi_0..phi_4, K(., P) for P in pts[:8],
+    # K(., xi) and 2z
+    rows = np.vstack([ev.onb.coeffs[:5], ev.kernel_rows(np.r_[pts[:8], xi])])
+    s = ev.node_sums(rows, [lambda z: 2.0 * z])
     phi_pts = ev.onb.phi_values(pts[:5], 5)
-    repro = 0.0
-    for k in range(5):
-        repro = max(repro, abs(ev.reproduce(phi_nodes[k], k_nodes[k]) - phi_pts[k, k]))
+    repro = max(abs(s[k, 5 + k] - phi_pts[k, k]) for k in range(5))
 
-    res = ev.self_reproduction_residual(pts[:8], k_nodes[:8])
+    p = ev.onb.phi_values(pts[:8])
+    res = np.abs(np.sum(p[:, None] * p.conj(), axis=-1) - s[5:13, 5:13].T)
     selfrep = max(res[i, 4 + i] for i in range(4))
 
-    pairing = ev.reproduce(2.0 * ev.rule.nodes, k_nodes[8])
-    pairing_err = abs(pairing - 2.0 * xi)
+    pairing_err = abs(s[14, 13] - 2.0 * xi)
     pairing_err = max(pairing_err, abs(ev.kernel_primitive(xi, xi)))
 
     elapsed = time.perf_counter() - MODULE_T0

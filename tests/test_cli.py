@@ -428,10 +428,11 @@ def test_oracle_grid_follows_seed(tmp_path, monkeypatch):
     assert not np.array_equal(grids[(1, "oracle.grid.w")], grids[(2, "oracle.grid.w")])
 
 
-def multi_block_ellipse_checks():
+def multi_block_ellipse_checks(n_grid=128):
     """The invariants preset's checks on the ellipse x^2 + 2 y^2 < 0.98 with
-    about 12,500 midpoint nodes (three node blocks and a remainder) and
-    41 raw elements; returns (config, evaluator, check sample grid)."""
+    41 raw elements and about 0.77 n_grid^2 midpoint nodes (at 128, three
+    node blocks and a remainder); returns (config, evaluator, check sample
+    grid)."""
     from redbergman import cli
 
     cfg = yaml.safe_load(cli.preset_text("invariants_disc"))
@@ -440,7 +441,7 @@ def multi_block_ellipse_checks():
                 "inequalities": [{"poly": [[2, 0, 1.0], [0, 2, 2.0], [0, 0, -0.98]],
                                   "sign": "<"}],
                 "holes": []},
-        quadrature={"n_grid": 128},
+        quadrature={"n_grid": n_grid},
     )
     cfg["basis"]["degree"] = 40
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
@@ -487,16 +488,21 @@ def test_checks_never_hold_a_node_by_basis_array(tmp_path):
     import tracemalloc
 
     from redbergman import cli
+    from redbergman.kernel import GRAM_BLOCK
 
-    cfg, ev, zs = multi_block_ellipse_checks()
-    run = cli.RunDir(str(tmp_path), "kernel", cfg)
-    tracemalloc.start()
-    try:
-        assert cli._run_checks(cli.build_checks(cfg), ev, zs, run) == 0.0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < len(ev.rule.nodes) * len(ev.onb.raw) * 16
+    for n_grid, blocks in ((128, 3), (256, 12)):
+        cfg, ev, zs = multi_block_ellipse_checks(n_grid)
+        assert len(ev.rule.nodes) > blocks * GRAM_BLOCK
+        run = cli.RunDir(str(tmp_path), "kernel", cfg)
+        tracemalloc.start()
+        try:
+            assert cli._run_checks(cli.build_checks(cfg), ev, zs, run) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of raw values and three blocks of the (at most 11) check
+        # functions: a bound in GRAM_BLOCK, not in the node count
+        assert peak < 16 * GRAM_BLOCK * (len(ev.onb.raw) + 3 * 11), n_grid
 
 
 # sides: the suffixes whose domain, quadrature and basis blocks are built;
@@ -732,6 +738,37 @@ def test_checks_are_config_errors_before_the_numerics(tmp_path, capsys, monkeypa
     assert run_cli(tmp_path, "kernel", cfg, "--set", override) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("basis", [
+    "{type: laurent, center: [0.0, 0.0], n_min: -6, n_max: 6, reduced: false}",
+    # (z - 2)^-1 has no period around the hole, so the reduced filter keeps it
+    "{type: laurent, center: [2.0, 0.0], n_min: -3, n_max: 6, reduced: true}",
+], ids=["full-basis", "centre-outside"])
+def test_dirichlet_pairing_on_an_inverse_power_is_a_config_error(tmp_path, capsys,
+                                                                  monkeypatch, basis):
+    from redbergman import cli
+
+    calls = []
+    real = cli.orthonormalize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "orthonormalize", counting)
+    cfg = write_cfg(tmp_path, ANNULUS_CFG + "checks: {dirichlet_pairing: 1.0e-5}\n")
+    # the reduced annulus pairs, and a non-reduced basis passes the other checks
+    assert run_cli(tmp_path, "kernel", cfg, "--set", "oracle=null") == 0
+    assert run_cli(tmp_path, "kernel", cfg, "--set", f"basis={basis}", "--set", "oracle=null",
+                   "--set", "checks={self_reproduction: 1.0e-8}") == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert run_cli(tmp_path, "kernel", cfg, "--set", f"basis={basis}",
+                   "--set", "oracle=null") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dirichlet_pairing" in err and "basis.reduced" in err
     assert calls == []
 
 

@@ -507,30 +507,36 @@ def test_annulus_full_minus_reduced_is_residue_term():
     assert abs(diff - expect) / abs(expect) < 1e-5
 
 
-def kernel_nodes(ev, pts):
-    """(len(pts), n_nodes) node rows K(nodes, P), as the CLI checks read them."""
-    return ev.node_values(ev.kernel_rows(pts))
+def reproduce(ev, zeta, rows=None, fns=()):
+    """Discrete reproducing integrals sum_q w_q nu_q f(node_q) conj(K(node_q, zeta))
+    of the functions rows @ raw, then of the callables fns, each an entry of
+    the node_sums column at K(., zeta), as the CLI checks read them."""
+    k = ev.kernel_rows(zeta)
+    return ev.node_sums(k if rows is None else np.vstack([k, rows]), fns)[1:, 0]
+
+
+def self_reproduction(ev, pts):
+    """(n, n) matrix |K(P_i, P_j) - sum_q w_q nu_q K(node_q, P_j) conj(K(node_q, P_i))|
+    for n points P, as the CLI check forms it from node_sums."""
+    p = ev.onb.phi_values(np.asarray(pts, dtype=complex))
+    return np.abs(np.sum(p[:, None] * p.conj(), axis=-1) - ev.node_sums(ev.kernel_rows(pts)).T)
 
 
 def self_residual(ev, z, zeta):
-    pts = np.array([z, zeta], dtype=complex)
-    return ev.self_reproduction_residual(pts, kernel_nodes(ev, pts))[0, 1]
+    return self_reproduction(ev, [z, zeta])[0, 1]
 
 
 def test_reproduce_on_basis_element_and_constant():
     ev = disc_evaluator(degree=10, n_radial=24, n_angular=48)
-    nodes = ev.rule.nodes
-    phi3 = ev.onb.phi_values(np.r_[0.4, nodes], 4)[:, 3]
-    k = kernel_nodes(ev, [0.4, 0.2 + 0.1j])
-    assert ev.reproduce(phi3[1:], k[0]) == pytest.approx(phi3[0], abs=1e-6)
-    assert ev.reproduce(np.ones(len(nodes)), k[1]) == pytest.approx(1.0, abs=1e-6)
+    phi3 = ev.onb.phi_values(np.array([0.4]), 4)[0, 3]
+    assert reproduce(ev, 0.4, ev.onb.coeffs[3:4])[0] == pytest.approx(phi3, abs=1e-6)
+    assert reproduce(ev, 0.2 + 0.1j, fns=[np.ones_like])[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_reproduce_outside_reduced_space_gives_projection():
     ev = annulus_evaluator()
-    nodes = ev.rule.nodes
     zeta = 0.7
-    val = ev.reproduce(1.0 / nodes, kernel_nodes(ev, zeta)[0])
+    val = reproduce(ev, zeta, fns=[lambda z: 1.0 / z])[0]
     # z^-1 is orthogonal to every retained power, so the projection vanishes
     assert abs(val) < 1e-6
     assert abs(val - 1.0 / zeta) > 0.1
@@ -574,7 +580,7 @@ def test_kernel_primitive_checks():
         fd = (ev.kernel_primitive(xi, z + h) - ev.kernel_primitive(xi, z - h)) / (2 * h)
         assert abs(fd - ev.eval_kernel(z, xi)) / abs(ev.eval_kernel(z, xi)) < 1e-6
     # Dirichlet pairing <f, M(., xi)> = int f' conj(K(., xi)) dA = f'(xi) for f = z^2
-    pairing = ev.reproduce(2.0 * ev.rule.nodes, kernel_nodes(ev, xi)[0])
+    pairing = reproduce(ev, xi, fns=[lambda z: 2.0 * z])[0]
     assert pairing == pytest.approx(2.0 * xi, abs=1e-5)
 
 
@@ -601,7 +607,7 @@ def test_generic_domain_kernel_invariants():
     onb = orthonormalize(monomial_basis(0.5 + 0.5j, 6, dom), rule, ONE)
     ev = KernelEvaluator(onb)
     zeta = 0.4 + 0.6j
-    assert abs(ev.reproduce(np.ones(len(rule)), kernel_nodes(ev, zeta)[0]) - 1.0) < 1e-10
+    assert abs(reproduce(ev, zeta, fns=[np.ones_like])[0] - 1.0) < 1e-10
     assert self_residual(ev, 0.3 + 0.3j, 0.7 + 0.2j) < 1e-10
     assert ev.eval_kernel(zeta, zeta).real > 0
     a, b = 0.2 + 0.7j, 0.8 + 0.1j
@@ -628,7 +634,7 @@ CHECK_POINTS = np.array([0.3, -0.2 + 0.4j, 0.5j, -0.45 - 0.1j, 0.1 + 0.05j])
 @pytest.mark.parametrize("case", BATCH_EVALUATORS)
 def test_batched_self_reproduction_matches_scalar_calls(case):
     ev = BATCH_EVALUATORS[case]()
-    got = ev.self_reproduction_residual(CHECK_POINTS, kernel_nodes(ev, CHECK_POINTS))
+    got = self_reproduction(ev, CHECK_POINTS)
     want = np.array([[self_residual(ev, a, b) for b in CHECK_POINTS] for a in CHECK_POINTS])
     assert got.shape == (len(CHECK_POINTS), len(CHECK_POINTS))
     assert np.max(np.abs(got - want)) <= 1e-15
@@ -637,14 +643,13 @@ def test_batched_self_reproduction_matches_scalar_calls(case):
 @pytest.mark.parametrize("case", BATCH_EVALUATORS)
 def test_batched_reproduce_matches_column_calls(case):
     ev = BATCH_EVALUATORS[case]()
-    nodes = ev.rule.nodes
-    f = np.vstack([ev.node_values(ev.onb.coeffs[:3]), np.ones(len(nodes)), 2.0 * nodes,
-                   nodes ** 7])
-    k = kernel_nodes(ev, 0.25 - 0.3j)[0]
-    got = ev.reproduce(f, k)
-    want = np.array([ev.reproduce(row, k) for row in f])
-    assert got.shape == (len(f),)
-    assert isinstance(ev.reproduce(f[0], k), complex)
+    zeta = 0.25 - 0.3j
+    rows = ev.onb.coeffs[:3]
+    fns = [np.ones_like, lambda z: 2.0 * z, lambda z: z ** 7]
+    got = reproduce(ev, zeta, rows, fns)
+    want = np.array([reproduce(ev, zeta, row[None])[0] for row in rows]
+                    + [reproduce(ev, zeta, fns=[fn])[0] for fn in fns])
+    assert got.shape == (len(rows) + len(fns),)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -663,20 +668,19 @@ RING_POINTS = np.array([0.6 + 0.2j, -0.55 + 0.3j, 0.1 - 0.62j, -0.4 - 0.45j])
 def test_node_kernel_from_raw_values_matches_node_matrix(case):
     ev = NODE_EVALUATORS[case]()
     nodes = ev.rule.nodes
-    got_k = kernel_nodes(ev, RING_POINTS)
-    f = np.vstack([ev.node_values(ev.onb.coeffs[:3]), np.ones(len(nodes)), 2.0 * nodes])
-    got_repro = ev.reproduce(f, got_k[0])
-    got_self = ev.self_reproduction_residual(RING_POINTS, got_k)
+    fns = [np.ones_like, lambda z: 2.0 * z]
+    got = ev.node_sums(np.vstack([ev.onb.coeffs[:3], ev.kernel_rows(RING_POINTS)]), fns)
+    got_self = self_reproduction(ev, RING_POINTS)
     assert "_node_phi" not in ev.__dict__
-    # the same quantities through the orthonormal node matrix
+    # the same sums from the orthonormal node matrix, one 1-D sum per entry
     phi = ev._node_phi
     wq = ev.rule.weights * ev._node_nu
     p = ev.onb.phi_values(RING_POINTS)
     k = p.conj() @ phi.T
-    assert np.max(np.abs(got_k - k)) <= 1e-14 * np.max(np.abs(k))
-    assert np.max(np.abs(f[:3] - phi[:, :3].T)) <= 1e-14 * np.max(np.abs(phi[:, :3]))
-    want_repro = np.array([np.sum(row) for row in (wq * f) * k[0].conj()])
-    assert np.max(np.abs(got_repro - want_repro)) <= 1e-14 * np.max(np.abs(want_repro))
+    f = np.vstack([phi[:, :3].T, k, np.ones(len(nodes)), 2.0 * nodes])
+    want = np.array([[np.sum((wq * a) * b.conj()) for b in f] for a in f])
+    assert got.shape == (len(f), len(f))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     n = len(RING_POINTS)
     want_self = np.array([[abs(np.sum(p[i] * p[j].conj()) - np.sum(wq * k[j] * k[i].conj()))
                            for j in range(n)] for i in range(n)])
@@ -710,10 +714,31 @@ def test_evaluator_thread_safety():
 
 def test_evaluator_builds_node_matrix_on_first_use():
     ev = disc_evaluator_shared()
-    assert "_node_phi" not in ev.__dict__
     assert ev.orthonormality_residual() < 1e-12
-    assert "_node_phi" in ev.__dict__
+    assert "_node_phi" not in ev.__dict__
     assert np.array_equal(ev._node_phi, ev.onb.phi_values(ev.rule.nodes))
+    assert "_node_phi" in ev.__dict__
+
+
+def test_evaluator_evaluates_node_weights_on_first_read():
+    calls = []
+
+    class CountingWeight(PowerWeight):
+        def __call__(self, z):
+            calls.append(np.size(z))
+            return super().__call__(z)
+
+    weight = CountingWeight(1.0)
+    ev = disc_evaluator(degree=10, n_radial=24, n_angular=48, weight=weight)
+    n = len(ev.rule.nodes)
+    assert calls == [n]  # the Gram's
+    ev.eval_kernel_grid(CHECK_POINTS, CHECK_POINTS)
+    assert calls == [n] and "_node_nu" not in ev.__dict__
+    assert ev.orthonormality_residual() < 1e-12
+    assert calls == [n, n]
+    assert np.array_equal(ev._node_nu, weight(ev.rule.nodes))
+    assert ev.orthonormality_residual() < 1e-12
+    assert calls == [n, n, n]
 
 
 def disc_evaluator_shared():
