@@ -26,7 +26,7 @@ from .holobasis import (
     pullback_weight,
     reduced_filter,
 )
-from .kernel import GramMatrix, KernelEvaluator, OrthonormalBasis, gram_matrix, orthonormalize
+from .kernel import KernelEvaluator, OrthonormalBasis, gram_matrix, orthonormalize
 from .propermaps import (
     BlaschkeProduct,
     BranchSet,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import PrimitiveUnavailableError
 from .geometry import Annulus, Disc, GenericDomain, PlanarDomain, require_finite
+from .propermaps import PowerMap
 
 __all__ = [
     "BasisElement",
@@ -239,6 +240,10 @@ class WeightFn:
     def __call__(self, z):
         raise NotImplementedError
 
+    def ring_values(self, center, radii):
+        """nu on the circles |z - center| = radii in closed form, or None."""
+        return None
+
 
 class ConstantWeight(WeightFn):
     def __init__(self, value: float = 1.0):
@@ -248,6 +253,9 @@ class ConstantWeight(WeightFn):
 
     def __call__(self, z):
         return np.full(np.shape(z), self.value)
+
+    def ring_values(self, center, radii):
+        return np.full(np.shape(radii), self.value)
 
 
 class PowerWeight(WeightFn):
@@ -262,6 +270,9 @@ class PowerWeight(WeightFn):
 
     def __call__(self, z):
         return np.abs(np.asarray(z) - self.center) ** (2.0 * self.alpha)
+
+    def ring_values(self, center, radii):
+        return np.power(radii, 2.0 * self.alpha) if center == self.center else None
 
 
 class RadialPolyWeight(WeightFn):
@@ -279,6 +290,11 @@ class RadialPolyWeight(WeightFn):
         r2 = np.abs(np.asarray(z) - self.center) ** 2
         return np.polynomial.polynomial.polyval(r2, self.coeffs)
 
+    def ring_values(self, center, radii):
+        if center == self.center:
+            return np.polynomial.polynomial.polyval(np.square(radii), self.coeffs)
+        return None
+
 
 class PullbackWeight(WeightFn):
     """Composite weight nu(f(z)); positivity is checked on quadrature
@@ -290,6 +306,12 @@ class PullbackWeight(WeightFn):
 
     def __call__(self, z):
         return self.base(self.mapping(z))
+
+    def ring_values(self, center, radii):
+        # z^m maps the circle |z| = r onto |w| = r^m
+        if isinstance(self.mapping, PowerMap) and center == 0:
+            return self.base.ring_values(0, np.power(radii, self.mapping.m))
+        return None
 
 
 def pullback_weight(weight: WeightFn, mapping) -> WeightFn:

@@ -10,14 +10,19 @@ conjugated slot (no finite differences), and primitives of the
 orthonormal elements give the kernel primitive whose Dirichlet pairing
 evaluates derivatives.
 
-On a polar rule with every basis element centred at the rule's centre,
-the angular trapezoid sum in a Gram entry is a DFT of the weight on one
-ring, so one FFT per ring and one matmul against the radial moments
-r^(n+m) give the same discrete sum, reordered (aliasing included).
-Generic rules and off-centre bases take the dense sum over all nodes,
-block by block: a block writes its weighted power rows, split into real
-and imaginary parts, straight into a reused real buffer and forms one
-real symmetric product (BLAS syrk).  The blocks run on up to two
+The weight at the nodes has one definition, ``node_nu``: the exact ring
+values of a polar rule whose rings the weight knows, weight(nodes)
+otherwise.  On a polar rule with every basis element centred at the
+rule's centre, the angular trapezoid sum in a Gram entry is a DFT of the
+weight on one ring, so the rings' spectra and one product with the
+radial moments r^(n+m) give the same discrete sum, reordered (aliasing
+included).  A weight constant on each ring has the exact spectrum
+n_angular * nu_i at frequency 0 alone, so a span below n_angular has a
+diagonal Gram; other weights take one FFT per ring.  Generic rules and
+off-centre bases take the dense sum over all nodes, block by block: a
+block writes its weighted power rows, split into real and imaginary
+parts, straight into a reused real buffer and forms one real symmetric
+product (BLAS syrk).  The blocks run on up to two
 threads, one per core, and their products are added in block order, so
 only one block's rows per thread are ever held, the Gram comes out
 exactly Hermitian, and its bits do not depend on the thread count.
@@ -25,7 +30,10 @@ exactly Hermitian, and its bits do not depend on the thread count.
 The Gram matrix is prescaled to unit diagonal before pivoting.  Raw
 power bases can span many decades in norm (Laurent families on thin
 annuli) while being perfectly orthogonal; pivoting the scaled matrix
-makes the drop test detect near-dependence instead of scale.
+makes the drop test detect near-dependence instead of scale.  A
+prescaled Gram with nothing off its diagonal and no pivot to drop is
+factored in closed form as the loop would factor it, and its diagonal
+coefficients scale the raw power columns instead of multiplying them.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ from .errors import DegenerateBasisError, EvaluationError
 from .geometry import PolarStructure, QuadratureRule
 from .holobasis import RawBasis, WeightFn
 
-__all__ = ["GramMatrix", "OrthonormalBasis", "KernelEvaluator",
-           "gram_matrix", "orthonormalize"]
+__all__ = ["OrthonormalBasis", "KernelEvaluator", "gram_matrix", "node_nu",
+           "orthonormalize"]
 
 # nodes per block of the dense Gram and of the checks' node sums.  Their bits
 # depend on it (block products are summed in block order).  On a 78,508-node
@@ -55,33 +63,27 @@ GRAM_BLOCK = 4096
 GRAM_THREADS = 2
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian matrix of discrete weighted inner products
-    G[i, j] = sum_q w_q * e_i(node_q) * conj(e_j(node_q)) * nu(node_q)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.entries)):
-            raise DegenerateBasisError("Gram matrix has a non-finite entry")
-
-
 def _polar_gram(powers, polar: PolarStructure, nu) -> np.ndarray:
     """G[a, b] = sum_i w_i r_i^(n_a + n_b) F_i[(n_b - n_a) mod n_angular]
-    for centred powers n, where F_i is the DFT of nu on ring i.  The real
-    radial moments multiply F's real and imaginary parts in one real
-    product, taken only against the distinct frequency differences the
-    gather reads (never more than n_angular columns)."""
+    for centred powers n, where F_i is the DFT of nu on ring i, taken only
+    at the distinct frequency differences the gather reads.  A nu constant
+    on each ring has F_i = n_angular nu_i at frequency 0 and exactly 0
+    elsewhere; any other takes one FFT per ring, and the real radial
+    moments multiply F's real and imaginary parts in one real product."""
     s = np.arange(2 * powers.min(), 2 * powers.max() + 1)
-    f = np.fft.fft(nu.reshape(len(polar.radii), polar.n_angular), axis=1)
     span = int(powers.max() - powers.min())
     # cols: the distinct frequencies (b - a) mod n_angular over the offsets
-    # b - a + span; pos: each offset's column among them
+    # b - a + span, frequency 0 first; pos: each offset's column among them
     cols, pos = np.unique(np.arange(-span, span + 1) % polar.n_angular,
                           return_inverse=True)
-    moments = (polar.ring_weights[:, None] * polar.radii[:, None] ** s).T
-    m = (moments @ np.take(f, cols, axis=1).view(float)).view(complex)
+    rings = nu.reshape(len(polar.radii), polar.n_angular)
+    r_s = polar.radii[:, None] ** s
+    if np.all(rings == rings[:, :1]):
+        m = np.zeros((len(s), len(cols)), dtype=complex)
+        m[:, 0] = r_s.T @ (polar.n_angular * polar.ring_weights * rings[:, 0])
+    else:
+        f = np.take(np.fft.fft(rings, axis=1), cols, axis=1)
+        m = ((polar.ring_weights[:, None] * r_s).T @ f.view(float)).view(complex)
     return m[powers[:, None] + powers[None, :] - s[0],
              pos[powers[None, :] - powers[:, None] + span]]
 
@@ -160,13 +162,24 @@ def _dense_gram(basis: RawBasis, nodes, wq) -> np.ndarray:
     return (p[:m, :m] + p[m:, m:]) + 1j * (p[m:, :m] - p[:m, m:])
 
 
-def gram_matrix(basis: RawBasis, rule: QuadratureRule, weight: WeightFn) -> GramMatrix:
-    """Assemble the weighted Gram matrix of a raw basis on a rule
-    (structured or dense, see the module docstring).  An element whose
-    discrete norm under- or overflows raises DegenerateBasisError."""
+def node_nu(rule: QuadratureRule, weight: WeightFn) -> np.ndarray:
+    """nu at the rule's nodes for the Gram, the node sums and the
+    adjointness sums: the weight's ring values repeated around each ring
+    of a polar rule when it has them, weight(nodes) otherwise."""
+    polar = rule.polar
+    ring = None if polar is None else weight.ring_values(polar.center, polar.radii)
+    nu = weight(rule.nodes) if ring is None else np.repeat(ring, polar.n_angular)
+    return np.asarray(nu, dtype=float)
+
+
+def gram_matrix(basis: RawBasis, rule: QuadratureRule, weight: WeightFn) -> np.ndarray:
+    """G[i, j] = sum_q w_q nu_q e_i(node_q) conj(e_j(node_q)) of a raw
+    basis on a rule (structured or dense, see the module docstring).  An
+    element whose norm under- or overflows (named), or any other
+    non-finite entry, raises DegenerateBasisError."""
     if len(basis) == 0:
         raise DegenerateBasisError("cannot assemble a Gram matrix for an empty basis")
-    nu = np.asarray(weight(rule.nodes), dtype=float)
+    nu = node_nu(rule, weight)
     if not np.all(nu > 0):
         raise EvaluationError("weight is non-positive at a quadrature node")
     polar = rule.polar
@@ -185,7 +198,9 @@ def gram_matrix(basis: RawBasis, rule: QuadratureRule, weight: WeightFn) -> Gram
         if not 0.0 < norm < np.inf:
             raise DegenerateBasisError(f"element {e!r} has Gram norm {norm}: its "
                                        "values under- or overflow on the rule")
-    return GramMatrix(entries=g)
+    if not np.all(np.isfinite(g)):
+        raise DegenerateBasisError("Gram matrix has a non-finite entry")
+    return g
 
 
 def _pivoted_cholesky(a: np.ndarray, drop_tol: float):
@@ -249,18 +264,26 @@ class OrthonormalBasis:
     rule: QuadratureRule
     weight: WeightFn
 
+    def _combine(self, vals, n=None) -> np.ndarray:
+        """vals @ coeffs[:n].T for raw columns ``vals``: a scaling of the
+        first n columns when ``coeffs`` is diagonal with no zero on it."""
+        d = np.diagonal(self.coeffs)
+        if np.count_nonzero(self.coeffs) == np.count_nonzero(d) == vals.shape[-1]:
+            return vals[..., :n] * d[:n]
+        return vals @ self.coeffs[:n].T
+
     def phi_values(self, pts, n=None) -> np.ndarray:
         """(npts, n) matrix of the values of the first n orthonormal
         elements (all retained ones by default)."""
-        return self.raw.values(pts) @ self.coeffs[:n].T
+        return self._combine(self.raw.values(pts), n)
 
     def phi_deriv_values(self, pts, order: int) -> np.ndarray:
-        return self.raw.deriv_values(pts, order) @ self.coeffs.T
+        return self._combine(self.raw.deriv_values(pts, order))
 
     def phi_primitive_values(self, pts) -> np.ndarray:
         """Primitives of the orthonormal elements, see RawBasis.primitive_values."""
         used = np.any(self.coeffs != 0, axis=0)
-        return self.raw.primitive_values(pts, used) @ self.coeffs.T
+        return self._combine(self.raw.primitive_values(pts, used))
 
 
 def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,
@@ -269,24 +292,28 @@ def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,
 
     Pivoted Cholesky on the diagonally-prescaled Gram matrix; elements
     whose scaled pivot falls below drop_tol times the largest are
-    dropped as near-dependent.
+    dropped as near-dependent.  An exactly diagonal prescaled Gram with
+    no pivot to drop takes the loop's result in closed form.
     """
     if drop_tol <= 0:
         raise ValueError("drop_tol must be positive")
-    g = gram_matrix(basis, rule, weight).entries
+    g = gram_matrix(basis, rule, weight)
     scale = np.sqrt(np.real(np.diag(g)))
     corr = g / np.outer(scale, scale)
-    order, L, pivots = _pivoted_cholesky(corr, drop_tol)
-    r = len(order)
-    # phi = L^{-1} applied to the scaled, pivot-ordered raw elements
-    rhs = np.zeros((r, len(basis)), dtype=complex)
-    rhs[np.arange(r), order] = 1.0 / scale[order]
-    coeffs = np.linalg.solve(L, rhs)
+    pivots = np.real(np.diag(corr))
+    if np.count_nonzero(corr) == len(corr) and np.all(pivots > drop_tol * pivots.max()):
+        # unit-ish pivots lie within the loop's factor 2: it takes them in
+        # order, and L is diag(piv / sqrt(piv))
+        coeffs = np.diag((1.0 / scale) / (pivots / np.sqrt(pivots))).astype(complex)
+    else:
+        order, L, pivots = _pivoted_cholesky(corr, drop_tol)
+        # phi = L^{-1} applied to the scaled, pivot-ordered raw elements
+        coeffs = np.linalg.solve(L, np.eye(len(basis))[order] / scale)
     return OrthonormalBasis(
         raw=basis,
         coeffs=coeffs,
-        retained_count=r,
-        gram_condition=float(pivots[0] / pivots[-1]),
+        retained_count=len(coeffs),
+        gram_condition=float(pivots.max() / pivots.min()),
         rule=rule,
         weight=weight,
     )
@@ -310,7 +337,7 @@ class KernelEvaluator:
 
     @functools.cached_property
     def _node_nu(self) -> np.ndarray:
-        return np.asarray(self.onb.weight(self.rule.nodes), dtype=float)
+        return node_nu(self.rule, self.onb.weight)
 
     @functools.cached_property
     def _node_phi(self) -> np.ndarray:

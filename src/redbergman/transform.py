@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearCriticalError
-from .kernel import KernelEvaluator, OrthonormalBasis
+from .kernel import KernelEvaluator, OrthonormalBasis, node_nu
 from .propermaps import CorrespondenceModel, ProperMap, far_from
 
 __all__ = [
@@ -102,7 +102,7 @@ def _branch_sums(onb: OrthonormalBasis, n: int, table) -> np.ndarray:
 
 def _node_weights(onb: OrthonormalBasis) -> np.ndarray:
     """Quadrature weights times the weight of the system's inner product."""
-    return onb.rule.weights * np.asarray(onb.weight(onb.rule.nodes), dtype=float)
+    return onb.rule.weights * node_nu(onb.rule, onb.weight)
 
 
 def source_terms(model, onb1: OrthonormalBasis, onb2: OrthonormalBasis, n: int):

@@ -393,6 +393,30 @@ def test_adjoint_honours_drop_tol(tmp_path, monkeypatch):
     assert seen and all(tol == 1e-9 for tol in seen)
 
 
+@pytest.mark.parametrize("excess, code", [(None, 0), (1e-10, 1)],
+                         ids=["adjoint_disc as shipped", "ratio 1 + 1e-10"])
+def test_operator_bound_gate_allows_only_rounding_above_one(tmp_path, monkeypatch, excess, code):
+    from redbergman import cli
+
+    if excess is not None:
+        monkeypatch.setattr(cli, "operator_bound_check",
+                            lambda *args: np.array([1.0, 1.0 + excess]))
+    assert run_cli(tmp_path, "adjoint", write_cfg(tmp_path, preset_text("adjoint_disc"))) == code
+    summary = (only_run_dir(tmp_path, "adjoint-") / "summary.txt").read_text()
+    fields = dict(line.split(" = ", 1) for line in summary.splitlines())
+    ratio = float(fields["bound_max_ratio"])
+    assert (ratio > 1 + cli.BOUND_SLACK) == (excess is not None)
+    assert ratio <= 1 + (excess or 1e-13)
+
+
+def test_drop_tol_above_one_is_a_numerical_failure(tmp_path):
+    # the disc's Gram is exactly diagonal, and still every pivot drops
+    cfg = write_cfg(tmp_path, preset_text("disc_kernel_oracle"))
+    assert run_cli(tmp_path, "kernel", cfg, "--set", "drop_tol=2.0") == 3
+    summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
+    assert "all Gram pivots fell below the drop tolerance" in summary
+
+
 def test_adjoint_model_errors_come_before_the_numerics(tmp_path, capsys, monkeypatch):
     # the gamma block runs first; a malformed map must still fail before it
     from redbergman import cli

@@ -17,6 +17,8 @@ from redbergman import (
     PowerWeight,
     PullbackWeight,
     RadialPolyWeight,
+    build_annulus_quadrature,
+    build_disc_quadrature,
     laurent_basis,
     monomial_basis,
     numerical_period,
@@ -144,6 +146,43 @@ def test_pullback_weight_compositions():
     b = BlaschkeProduct([0.5])
     assert pullback_weight(nu, b)(0.0) == pytest.approx(0.25)
 
+
+
+RING_WEIGHTS = {
+    "constant": ConstantWeight(2.5),
+    "power": PowerWeight(1.0),
+    "radial_poly": RadialPolyWeight([1.0, 0.5, 2.0]),
+    "z^2 pull-back": pullback_weight(PowerWeight(1.0), PowerMap(2)),
+    "z^3 pull-back of radial_poly": pullback_weight(RadialPolyWeight([1.0, 0.5]), PowerMap(3)),
+}
+
+
+@pytest.mark.parametrize("name", RING_WEIGHTS)
+@pytest.mark.parametrize("rule", [build_disc_quadrature(0.0, 1.0, 12, 40),
+                                  build_annulus_quadrature(0.0, 0.5, 1.0, 12, 40)],
+                         ids=["disc", "annulus"])
+def test_ring_values_match_the_weight_at_the_nodes(name, rule):
+    weight = RING_WEIGHTS[name]
+    polar = rule.polar
+    ring = weight.ring_values(polar.center, polar.radii)
+    at_nodes = weight(rule.nodes).reshape(len(polar.radii), polar.n_angular)
+    assert ring.shape == polar.radii.shape
+    # the nodes' own rounding, raised to the weight's power, is all that differs
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(at_nodes - ring[:, None]) <= 4 * eps * ring[:, None])
+
+
+@pytest.mark.parametrize("weight, center", [
+    (PowerWeight(1.0, 0.3), 0.0),
+    (PowerWeight(1.0), 0.3),
+    (RadialPolyWeight([1.0, 2.0], 0.1j), 0.0),
+    (pullback_weight(PowerWeight(1.0), PowerMap(2)), 0.2),
+    (pullback_weight(PowerWeight(1.0), lambda z: z ** 2), 0.0),
+    (pullback_weight(PowerWeight(1.0), BlaschkeProduct([0.0, 0.0])), 0.0),
+], ids=["power off-centre", "rings off the weight's centre", "radial_poly off-centre",
+        "power-map pull-back off 0", "lambda pull-back", "Blaschke pull-back"])
+def test_ring_values_are_none_where_rings_are_not_level_sets(weight, center):
+    assert weight.ring_values(center, np.array([0.3, 0.7])) is None
 
 def stacked_values(basis, pts):
     """Reference: every element evaluated on its own by ``**``."""

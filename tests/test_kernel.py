@@ -7,7 +7,9 @@ and from the closed forms in redbergman.oracles.  The pivoted Cholesky
 factorization, the structured Gram's real product over the frequency
 columns it reads, and the blocked dense Gram are checked against the
 earlier right-looking loop, complex and full-column products, and one
-complex product over all nodes, kept below.
+complex product over all nodes, kept below; the closed-form
+orthonormalization of a diagonal Gram against the pivoted Cholesky and
+triangular solve.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +29,6 @@ from redbergman import (
     BlaschkeProduct,
     ConstantWeight,
     GenericDomain,
-    GramMatrix,
     KernelEvaluator,
     PowerWeight,
     QuadratureRule,
@@ -71,7 +73,7 @@ def annulus_evaluator(r=0.5, n_min=-20, n_max=20, n_radial=48, n_angular=96,
 
 def test_gram_disc_monomials_unweighted():
     rule = build_disc_quadrature(0.0, 1.0, 20, 40)
-    g = gram_matrix(monomial_basis(0.0, 1, rule.domain), rule, ONE).entries
+    g = gram_matrix(monomial_basis(0.0, 1, rule.domain), rule, ONE)
     assert g[0, 0] == pytest.approx(math.pi, rel=1e-12)
     assert g[1, 1] == pytest.approx(math.pi / 2.0, rel=1e-12)
     assert abs(g[0, 1]) < 1e-13
@@ -80,13 +82,13 @@ def test_gram_disc_monomials_unweighted():
 def test_gram_annulus_inverse_norm():
     rule = build_annulus_quadrature(0.0, 0.5, 1.0, 32, 64)
     basis = laurent_basis(0.0, -1, -1, rule.domain)
-    g = gram_matrix(basis, rule, ONE).entries
+    g = gram_matrix(basis, rule, ONE)
     assert g[0, 0] == pytest.approx(2.0 * math.pi * math.log(2.0), rel=1e-10)
 
 
 def test_gram_disc_weighted():
     rule = build_disc_quadrature(0.0, 1.0, 20, 40)
-    g = gram_matrix(monomial_basis(0.0, 1, rule.domain), rule, PowerWeight(1.0)).entries
+    g = gram_matrix(monomial_basis(0.0, 1, rule.domain), rule, PowerWeight(1.0))
     assert g[0, 0] == pytest.approx(math.pi / 2.0, rel=1e-12)
     assert g[1, 1] == pytest.approx(math.pi / 3.0, rel=1e-12)
 
@@ -121,11 +123,11 @@ def test_polar_gram_nonfinite_value_reports_element_and_ring():
 
 def dense_gram(basis, rule, weight):
     """The dense sum over every node: the oracle for the structured Gram."""
-    return gram_matrix(basis, dataclasses.replace(rule, polar=None), weight).entries
+    return gram_matrix(basis, dataclasses.replace(rule, polar=None), weight)
 
 
 def assert_polar_gram_matches_dense(basis, rule, weight):
-    got = gram_matrix(basis, rule, weight).entries
+    got = gram_matrix(basis, rule, weight)
     want = dense_gram(basis, rule, weight)
     d = np.sqrt(np.real(np.diag(want)))
     assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-13
@@ -139,6 +141,16 @@ def complex_product_polar_gram(powers, polar, nu):
     m = (polar.ring_weights[:, None] * polar.radii[:, None] ** s).T @ f
     return m[powers[:, None] + powers[None, :] - s[0],
              (powers[None, :] - powers[:, None]) % polar.n_angular]
+
+
+def assert_ring_gram_matches_fft(got, want):
+    """A Gram from a nu constant on each ring (its exact spectrum) against
+    an FFT reference, for a span below n_angular: nothing off the diagonal,
+    and the diagonal to 8 eps relative.  Each is within 4 eps of the exact
+    sum (3.9 on the 120x480 annulus, where the two differ by 7)."""
+    assert np.count_nonzero(got) == len(got)
+    diff = np.abs(np.diag(got) - np.diag(want))
+    assert np.all(diff <= 8 * np.finfo(float).eps * np.abs(np.diag(want)))
 
 
 def right_looking_cholesky(a, drop_tol):
@@ -196,38 +208,124 @@ def assert_cholesky_matches_right_looking(a, drop_tol):
     return order
 
 
-@pytest.mark.parametrize("name", cli.preset_names())
-def test_polar_gram_matches_dense_on_presets(name, tmp_path, monkeypatch):
+def assert_closed_form_matches_loop(basis, rule, weight, drop_tol=1e-10):
+    """On an exactly diagonal Gram, orthonormalize's closed form against
+    the pivoted Cholesky and triangular solve it replaces: the same order,
+    retained count, pivots and condition, coefficients to 2.3e-16
+    relative, and nothing off the diagonal."""
+    g = gram_matrix(basis, rule, weight)
+    assert np.count_nonzero(g) == len(g)
+    scale = np.sqrt(np.real(np.diag(g)))
+    corr = g / np.outer(scale, scale)
+    order, L, pivots = kernel._pivoted_cholesky(corr, drop_tol)
+    rhs = np.zeros((len(order), len(basis)), dtype=complex)
+    rhs[np.arange(len(order)), order] = 1.0 / scale[order]
+    want = np.linalg.solve(L, rhs)
+    onb = orthonormalize(basis, rule, weight, drop_tol)
+    assert order == list(range(len(basis)))
+    assert onb.retained_count == len(order)
+    assert np.array_equal(pivots, np.real(np.diag(corr)))
+    assert onb.gram_condition == pivots.max() / pivots.min()
+    assert np.count_nonzero(onb.coeffs) == len(basis)
+    assert np.max(np.abs(onb.coeffs - want) / np.abs(np.diag(want))[:, None]) <= 2.3e-16
+    assert_cholesky_matches_right_looking(corr, drop_tol)
+
+
+def recorded_grams(monkeypatch, tmp_path, command, cfg):
+    """The (basis, rule, weight) of every Gram a config assembles."""
     triples = []
-    factorizations = []
 
     def recording_gram(basis, rule, weight):
         triples.append((basis, rule, weight))
         return gram_matrix(basis, rule, weight)
 
-    def recording_cholesky(a, drop_tol):
-        factorizations.append((a, drop_tol))
-        return pivoted_cholesky(a, drop_tol)
-
-    pivoted_cholesky = kernel._pivoted_cholesky
-    monkeypatch.setattr(kernel, "gram_matrix", recording_gram)
-    monkeypatch.setattr(kernel, "_pivoted_cholesky", recording_cholesky)
-    cfg = yaml.safe_load(cli.preset_text(name))
-    assert cli.execute(cfg.pop("run"), cfg, str(tmp_path)) == 0
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "gram_matrix", recording_gram)
+        assert cli.execute(command, cfg, str(tmp_path)) == 0
     assert triples
-    for basis, rule, weight in triples:
-        # every preset runs on a polar rule with a basis centred at its centre
+    return triples
+
+
+@pytest.mark.parametrize("name", cli.preset_names())
+def test_polar_gram_matches_dense_on_presets(name, tmp_path, monkeypatch):
+    cfg = yaml.safe_load(cli.preset_text(name))
+    for basis, rule, weight in recorded_grams(monkeypatch, tmp_path, cfg.pop("run"), cfg):
+        # every preset runs on a polar rule with a basis centred at its
+        # centre, under a weight that is radial about it
         assert rule.polar is not None
         assert all(e.center == rule.polar.center for e in basis.elements)
         assert_polar_gram_matches_dense(basis, rule, weight)
         powers = np.array([e.power for e in basis.elements])
         nu = np.asarray(weight(rule.nodes), dtype=float)
-        assert np.array_equal(kernel._polar_gram(powers, rule.polar, nu),
-                              complex_product_polar_gram(powers, rule.polar, nu))
-    monkeypatch.setattr(kernel, "_pivoted_cholesky", pivoted_cholesky)
-    assert len(factorizations) == len(triples)
-    for a, drop_tol in factorizations:
-        assert_cholesky_matches_right_looking(a, drop_tol)
+        got = kernel._polar_gram(powers, rule.polar, nu)
+        want = complex_product_polar_gram(powers, rule.polar, nu)
+        rings = nu.reshape(len(rule.polar.radii), rule.polar.n_angular)
+        if np.all(rings == rings[:, :1]):
+            assert_ring_gram_matches_fft(got, want)
+        else:
+            assert np.array_equal(got, want)
+        assert_closed_form_matches_loop(basis, rule, weight)
+
+
+def scaled_kernel_configs():
+    """The three kernel presets at degree 120 on 120x480 rules."""
+    out = []
+    for name, sides, degree_keys in [
+            ("disc_kernel_oracle", ["quadrature"], {"basis": {"degree": 120}}),
+            ("weighted_square_disc", ["quadrature", "quadrature2"],
+             {"basis": {"degree": 120}, "basis2": {"degree": 120}}),
+            ("annulus_reduced_oracle", ["quadrature"], {"basis": {"n_min": -60, "n_max": 60}})]:
+        cfg = yaml.safe_load(cli.preset_text(name))
+        for q in sides:
+            cfg[q] = {"n_radial": 120, "n_angular": 480}
+        for key, fields in degree_keys.items():
+            cfg[key].update(fields)
+        out.append(cfg)
+    return out
+
+
+@pytest.mark.parametrize("cfg", scaled_kernel_configs(),
+                         ids=["disc_kernel_oracle", "weighted_square_disc",
+                              "annulus_reduced_oracle"])
+def test_closed_form_matches_loop_at_scale(cfg, tmp_path, monkeypatch):
+    cfg = dict(cfg, output={"csv": False})
+    for basis, rule, weight in recorded_grams(monkeypatch, tmp_path, cfg.pop("run"), cfg):
+        assert_closed_form_matches_loop(basis, rule, weight)
+
+
+def test_aliased_span_takes_the_loop_and_matches_the_dense_gram(monkeypatch):
+    # degree 20 on 16 angular nodes: frequency differences 16 alias to 0
+    rule = build_disc_quadrature(0.0, 1.0, 20, 16)
+    basis = monomial_basis(0.0, 20, rule.domain)
+    g = gram_matrix(basis, rule, ONE)
+    assert g[0, 16] != 0 and g[3, 19] != 0 and g[0, 15] == 0
+    assert_polar_gram_matches_dense(basis, rule, ONE)
+    calls = []
+    pivoted_cholesky = kernel._pivoted_cholesky
+
+    def counting(a, drop_tol):
+        calls.append(len(a))
+        return pivoted_cholesky(a, drop_tol)
+
+    monkeypatch.setattr(kernel, "_pivoted_cholesky", counting)
+    orthonormalize(basis, rule, ONE)
+    assert calls == [len(basis)]
+
+
+@pytest.mark.parametrize("degree, drop", [(12, False), (20, True)],
+                         ids=["diagonal", "aliased, dense coefficients"])
+def test_diagonal_evaluation_matches_the_dense_product(degree, drop):
+    rule = build_disc_quadrature(0.0, 1.0, 20, 16 if drop else 40)
+    onb = orthonormalize(monomial_basis(0.0, degree, rule.domain), rule, PowerWeight(1.0))
+    assert (np.count_nonzero(onb.coeffs) > len(onb.coeffs)) == drop
+    pts = np.array([0.3, -0.2 + 0.4j, 0.5j, -0.45 - 0.1j, 0.1 + 0.05j, 0.0])
+    used = np.any(onb.coeffs != 0, axis=0)
+    for got, vals in [(onb.phi_values(pts), onb.raw.values(pts)),
+                      (onb.phi_values(pts, 4), onb.raw.values(pts)),
+                      (onb.phi_deriv_values(pts, 2), onb.raw.deriv_values(pts, 2)),
+                      (onb.phi_primitive_values(pts), onb.raw.primitive_values(pts, used))]:
+        want = vals @ onb.coeffs[:got.shape[1]].T
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 def _aliasing_case():
@@ -256,8 +354,10 @@ def test_polar_gram_matches_dense(case):
 def test_off_centre_basis_on_polar_rule_takes_dense_path():
     rule = build_annulus_quadrature(0.5, 0.5, 1.0, 16, 32)
     basis = monomial_basis(0.25, 12, rule.domain)
-    got = gram_matrix(basis, rule, PowerWeight(1.0, 0.5)).entries
-    assert np.array_equal(got, dense_gram(basis, rule, PowerWeight(1.0, 0.5)))
+    weight = PowerWeight(1.0, 0.5)
+    got = gram_matrix(basis, rule, weight)
+    wq = rule.weights * kernel.node_nu(rule, weight)
+    assert np.array_equal(got, kernel._dense_gram(basis, rule.nodes, wq))
 
 
 @st.composite
@@ -304,6 +404,20 @@ def test_pivoted_cholesky_matches_right_looking(a, drop_tol):
     assert np.max(np.abs(L @ L.conj().T - a[np.ix_(order, order)])) <= 1e-12
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=st.one_of(vector_family_grams(), pivot_window_grams()))
+def test_gram_condition_is_the_max_over_min_pivot(a):
+    # stabilized pivoting does not keep the pivots in decreasing order
+    basis = monomial_basis(0.0, len(a) - 1)
+    rule = build_disc_quadrature(0.0, 1.0, 4, 8)
+    with mock.patch.object(kernel, "gram_matrix", lambda *args: a):
+        onb = orthonormalize(basis, rule, ONE)
+    scale = np.sqrt(np.real(np.diag(a)))
+    _, _, pivots = kernel._pivoted_cholesky(a / np.outer(scale, scale), 1e-10)
+    assert onb.gram_condition >= 1.0
+    assert onb.gram_condition == pivots.max() / pivots.min()
+
+
 @pytest.mark.parametrize("a, drop_tol", [(np.zeros((3, 3)), 1e-10), (np.eye(3), 1.0)],
                          ids=["zero matrix", "drop_tol 1"])
 def test_pivoted_cholesky_dropping_everything_raises(a, drop_tol):
@@ -312,9 +426,12 @@ def test_pivoted_cholesky_dropping_everything_raises(a, drop_tol):
             factor(a, drop_tol)
 
 
-def test_gram_matrix_refuses_non_finite_entries():
-    with pytest.raises(DegenerateBasisError, match="non-finite"):
-        GramMatrix(entries=np.array([[1.0, np.nan], [np.nan, 1.0]]))
+def test_gram_matrix_refuses_non_finite_entries(monkeypatch):
+    monkeypatch.setattr(kernel, "_dense_gram",
+                        lambda *args: np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    rule = scattered_rule(10)
+    with pytest.raises(DegenerateBasisError, match="non-finite entry"):
+        gram_matrix(monomial_basis(0.0, 1, rule.domain), rule, ONE)
 
 
 def scattered_rule(n_nodes, seed=3):
@@ -352,7 +469,7 @@ def test_dense_gram_matches_complex_product(make_rule, monkeypatch):
     rule = make_rule()
     basis = monomial_basis(0.2 - 0.1j, 14, rule.domain)
     weight = PowerWeight(1.0, 0.3 + 0.4j)
-    got = gram_matrix(basis, rule, weight).entries
+    got = gram_matrix(basis, rule, weight)
     # the complex product over all nodes at once, both triangles formed
     vals = basis.values(rule.nodes)
     wq = rule.weights * weight(rule.nodes)
@@ -395,9 +512,10 @@ def full_column_polar_gram(powers, polar, nu):
 ], ids=["disc 120x480", "annulus 120x480", "disc 40x160"])
 def test_polar_gram_reads_only_the_needed_frequencies(rule, powers):
     assert 2 * np.ptp(powers) + 1 < rule.polar.n_angular
+    # a constant weight takes its exact ring spectrum, and no FFT
     nu = ONE(rule.nodes)
-    assert np.array_equal(kernel._polar_gram(powers, rule.polar, nu),
-                          full_column_polar_gram(powers, rule.polar, nu))
+    assert_ring_gram_matches_fft(kernel._polar_gram(powers, rule.polar, nu),
+                                 full_column_polar_gram(powers, rule.polar, nu))
     # Under a weight with angular structure every frequency column is
     # nonzero.  The narrower product holds the columns in another order and
     # width, so BLAS's tiling may round some entries differently (seen: up
@@ -720,7 +838,8 @@ def test_evaluator_builds_node_matrix_on_first_use():
     assert "_node_phi" in ev.__dict__
 
 
-def test_evaluator_evaluates_node_weights_on_first_read():
+def assert_node_weights_read_on_first_use(center):
+    """The evaluator reads nu at the nodes (node_nu) on first use only."""
     calls = []
 
     class CountingWeight(PowerWeight):
@@ -728,17 +847,31 @@ def test_evaluator_evaluates_node_weights_on_first_read():
             calls.append(np.size(z))
             return super().__call__(z)
 
-    weight = CountingWeight(1.0)
+        def ring_values(self, center, radii):
+            calls.append(np.size(radii))
+            return super().ring_values(center, radii)
+
+    weight = CountingWeight(1.0, center)
     ev = disc_evaluator(degree=10, n_radial=24, n_angular=48, weight=weight)
-    n = len(ev.rule.nodes)
-    assert calls == [n]  # the Gram's
+    # one read of nu at the nodes: a weight radial about the rule's centre
+    # once per ring, any other one once per node after refusing the rings
+    n = [24] if center == 0.0 else [24, len(ev.rule.nodes)]
+    assert calls == n  # the Gram's
     ev.eval_kernel_grid(CHECK_POINTS, CHECK_POINTS)
-    assert calls == [n] and "_node_nu" not in ev.__dict__
+    assert calls == n and "_node_nu" not in ev.__dict__
     assert ev.orthonormality_residual() < 1e-12
-    assert calls == [n, n]
-    assert np.array_equal(ev._node_nu, weight(ev.rule.nodes))
+    assert calls == 2 * n
+    assert np.array_equal(ev._node_nu, kernel.node_nu(ev.rule, weight))
     assert ev.orthonormality_residual() < 1e-12
-    assert calls == [n, n, n]
+    assert calls == 3 * n
+
+
+def test_evaluator_evaluates_node_weights_on_first_read():
+    assert_node_weights_read_on_first_use(0.0)
+
+
+def test_evaluator_reads_a_weight_off_the_rings_at_the_nodes():
+    assert_node_weights_read_on_first_use(0.3)
 
 
 def disc_evaluator_shared():
