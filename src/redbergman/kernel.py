@@ -10,13 +10,15 @@ conjugated slot (no finite differences), and primitives of the
 orthonormal elements give the kernel primitive whose Dirichlet pairing
 evaluates derivatives.
 
-The weight at the nodes has one definition, ``node_nu``: the exact ring
-values of a polar rule whose rings the weight knows, weight(nodes)
-otherwise.  On a polar rule with every basis element centred at the
-rule's centre, the angular trapezoid sum in a Gram entry is a DFT of the
-weight on one ring, so the rings' spectra and one product with the
-radial moments r^(n+m) give the same discrete sum, reordered (aliasing
-included).  A weight constant on each ring has the exact spectrum
+The weight at the nodes has one definition, ``node_nu``, which each
+orthonormal system evaluates once, on first read, for its node sums (in
+orthonormal coordinates) and adjointness sums: the exact ring values of
+a polar rule whose rings the weight knows, weight(nodes) otherwise.  On
+a polar rule with every basis element centred at the rule's centre, the
+angular trapezoid sum in a Gram entry is a DFT of the weight on one
+ring, so the rings' spectra and one product with the radial moments
+r^(n+m) give the same discrete sum, reordered (aliasing included).
+A weight constant on each ring has the exact spectrum
 n_angular * nu_i at frequency 0 alone, so a span below n_angular has a
 diagonal Gram; other weights take one FFT per ring.  Generic rules and
 off-centre bases take the dense sum over all nodes, block by block: a
@@ -255,6 +257,8 @@ class OrthonormalBasis:
     ``coeffs`` has one row per retained element and one column per raw
     element (zero columns for dropped ones); ``gram_condition`` is the
     max/min retained pivot ratio of the prescaled Gram factorization.
+    Only this module reads ``coeffs`` and ``raw``; callers work in
+    orthonormal coordinates, where phi_j is e_j and K(., P) conj(phi(P)).
     """
 
     raw: RawBasis
@@ -285,6 +289,42 @@ class OrthonormalBasis:
         used = np.any(self.coeffs != 0, axis=0)
         return self._combine(self.raw.primitive_values(pts, used))
 
+    @functools.cached_property
+    def node_nu(self) -> np.ndarray:
+        """nu at the rule's nodes (``node_nu``), evaluated on first read
+        and then held for the system's node sums and adjointness sums."""
+        return node_nu(self.rule, self.weight)
+
+    def node_sums(self, rows, extra=()) -> np.ndarray:
+        """(k, k) matrix S[a, b] = sum_q w_q nu_q f_a(node_q) conj(f_b(node_q))
+        of the functions rows @ phi, for (k_rows, retained_count) rows in
+        orthonormal coordinates, followed by the callables ``extra`` of a
+        node block.  S[a, b] is the discrete inner product <f_a, f_b>:
+        against K(., zeta) the reproducing integral, f_a(zeta) when f_a is
+        in the span.  One product maps the rows to raw coefficients; then
+        per GRAM_BLOCK nodes: one evaluation of the raw basis, one
+        (k_rows x n_raw)(n_raw x block) product into a reused buffer, and
+        one (k x block)(block x k) product added to S in block order."""
+        raw_rows = np.asarray(rows) @ self.coeffs
+        nodes = self.rule.nodes
+        k = len(raw_rows) + len(extra)
+        f = np.empty((k, min(GRAM_BLOCK, len(nodes))), dtype=complex)
+        s = np.zeros((k, k), dtype=complex)
+        for start in range(0, len(nodes), GRAM_BLOCK):
+            blk = slice(start, start + GRAM_BLOCK)
+            block = nodes[blk]
+            fb = f[:, :len(block)]
+            np.matmul(raw_rows, self.raw.values(block).T, out=fb[:len(raw_rows)])
+            for a, fn in enumerate(extra, len(raw_rows)):
+                fb[a] = fn(block)
+            s += (fb * (self.rule.weights[blk] * self.node_nu[blk])) @ fb.conj().T
+        return s
+
+    def orthonormality_residual(self) -> float:
+        """max |<phi_i, phi_j> - delta_ij| in the discrete inner product."""
+        eye = np.eye(self.retained_count)
+        return float(np.max(np.abs(self.node_sums(eye) - eye)))
+
 
 def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,
                    drop_tol: float = 1e-10) -> OrthonormalBasis:
@@ -309,14 +349,9 @@ def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,
         order, L, pivots = _pivoted_cholesky(corr, drop_tol)
         # phi = L^{-1} applied to the scaled, pivot-ordered raw elements
         coeffs = np.linalg.solve(L, np.eye(len(basis))[order] / scale)
-    return OrthonormalBasis(
-        raw=basis,
-        coeffs=coeffs,
-        retained_count=len(coeffs),
-        gram_condition=float(pivots.max() / pivots.min()),
-        rule=rule,
-        weight=weight,
-    )
+    return OrthonormalBasis(raw=basis, coeffs=coeffs, retained_count=len(coeffs),
+                            gram_condition=float(pivots.max() / pivots.min()),
+                            rule=rule, weight=weight)
 
 
 class KernelEvaluator:
@@ -324,54 +359,22 @@ class KernelEvaluator:
     anti-holomorphic derivatives.
 
     Evaluation methods are pure and safe to call concurrently.  The
-    quadrature checks read the nodes only through ``node_sums``: the
-    matrix of weighted node sums of a few functions, given as
-    coefficient rows over the raw basis (``coeffs[:m]``, ``kernel_rows``)
-    and as callables of a node block, formed one block of nodes at a
-    time, so no function is ever held at every node.
+    quadrature checks read the nodes through the system's own
+    ``onb.node_sums``, in orthonormal coordinates, with the weight at
+    the nodes held once per system (``onb.node_nu``).
     """
 
     def __init__(self, onb: OrthonormalBasis):
         self.onb = onb
-        self.rule = onb.rule
 
-    @functools.cached_property
+    # perfbench/tracer.py, which changes only with the benchmark, reads both _node_*
+    @property
     def _node_nu(self) -> np.ndarray:
-        return node_nu(self.rule, self.onb.weight)
+        return self.onb.node_nu
 
     @functools.cached_property
     def _node_phi(self) -> np.ndarray:
-        return self.onb.phi_values(self.rule.nodes)
-
-    def kernel_rows(self, pts) -> np.ndarray:
-        """(k, n_raw) raw coefficients of the k kernel columns K(., P_j)."""
-        p = self.onb.phi_values(np.atleast_1d(np.asarray(pts, dtype=complex)))
-        return p.conj() @ self.onb.coeffs
-
-    def node_sums(self, rows, extra=()) -> np.ndarray:
-        """(k, k) matrix S[a, b] = sum_q w_q nu_q f_a(node_q) conj(f_b(node_q))
-        of the functions rows @ raw, for (k_rows, n_raw) coefficient rows,
-        followed by the callables ``extra`` of a node block.
-
-        S[a, b] is the discrete inner product <f_a, f_b>: against a kernel
-        row K(., zeta) it is the reproducing integral, f_a(zeta) when f_a
-        lies in the spanned space.  Per GRAM_BLOCK nodes: one evaluation
-        of the raw basis, one (k_rows x n_raw)(n_raw x block) product into
-        a reused buffer, and one complex (k x block)(block x k) product
-        added to S in block order."""
-        nodes = self.rule.nodes
-        k = len(rows) + len(extra)
-        f = np.empty((k, min(GRAM_BLOCK, len(nodes))), dtype=complex)
-        s = np.zeros((k, k), dtype=complex)
-        for start in range(0, len(nodes), GRAM_BLOCK):
-            blk = slice(start, start + GRAM_BLOCK)
-            block = nodes[blk]
-            fb = f[:, :len(block)]
-            np.matmul(rows, self.onb.raw.values(block).T, out=fb[:len(rows)])
-            for a, fn in enumerate(extra, len(rows)):
-                fb[a] = fn(block)
-            s += (fb * (self.rule.weights[blk] * self._node_nu[blk])) @ fb.conj().T
-        return s
+        return self.onb.phi_values(self.onb.rule.nodes)
 
     def eval_kernel(self, z, w) -> complex:
         """K(z, w), one entry of eval_kernel_grid.  Exactly
@@ -403,8 +406,3 @@ class KernelEvaluator:
         prim = self.onb.phi_primitive_values(pts)
         phi_xi = self.onb.phi_values(np.asarray(xi, dtype=complex))
         return complex((prim[0] - prim[1]) @ phi_xi.conj())
-
-    def orthonormality_residual(self) -> float:
-        """max |<phi_i, phi_j> - delta_ij| in the discrete inner product."""
-        g = self.node_sums(self.onb.coeffs)
-        return float(np.max(np.abs(g - np.eye(len(g)))))

@@ -11,7 +11,8 @@ sweeps and the map recovery are built on those tables; they measure the
 residuals of exact identities, where all remaining error is
 discretization.  The adjointness checks pair the first elements of two
 orthonormal systems, each in its own inner product: the rule and weight
-it was orthonormalized in.  A sweep takes each side's branch sums on
+it was orthonormalized in, with the weight at the nodes the one the
+system holds (``node_nu``).  A sweep takes each side's branch sums on
 the orthonormal elements, then one product with their values on the
 other grid: 2*nz*nw*n complex multiply-adds, not (p + q)*nz*nw*n.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearCriticalError
-from .kernel import KernelEvaluator, OrthonormalBasis, node_nu
+from .kernel import KernelEvaluator, OrthonormalBasis
 from .propermaps import CorrespondenceModel, ProperMap, far_from
 
 __all__ = [
@@ -100,11 +101,6 @@ def _branch_sums(onb: OrthonormalBasis, n: int, table) -> np.ndarray:
     return np.einsum("qk,qkn->nq", der, vals.reshape(pts.shape + vals.shape[1:]))
 
 
-def _node_weights(onb: OrthonormalBasis) -> np.ndarray:
-    """Quadrature weights times the weight of the system's inner product."""
-    return onb.rule.weights * node_nu(onb.rule, onb.weight)
-
-
 def source_terms(model, onb1: OrthonormalBasis, onb2: OrthonormalBasis, n: int):
     """(op2 v, v) for the first n elements v of the source system
     ``onb1``: their backward branch sums at the target nodes, (n, n2), and
@@ -130,8 +126,8 @@ def adjoint_residual_matrix(model, onb1: OrthonormalBasis, onb2: OrthonormalBasi
     op2v, v1 = source if source is not None else source_terms(model, onb1, onb2, n)
     op1u = _branch_sums(onb2, n, branch_table(model, onb1.rule.nodes, forward=True))
     u2 = onb2.phi_values(onb2.rule.nodes, n).T                      # (n, n2)
-    lhs = (op1u * _node_weights(onb1)) @ v1.conj().T
-    rhs = (u2 * _node_weights(onb2)) @ op2v.conj().T
+    lhs = (op1u * (onb1.rule.weights * onb1.node_nu)) @ v1.conj().T
+    rhs = (u2 * (onb2.rule.weights * onb2.node_nu)) @ op2v.conj().T
     return np.abs(lhs - rhs)
 
 
@@ -142,8 +138,8 @@ def operator_bound_check(corr: CorrespondenceModel, onb1: OrthonormalBasis,
     sum; the bound says each is at most 1.  Inner products and
     ``source`` as in adjoint_residual_matrix."""
     op2v, v1 = source if source is not None else source_terms(corr, onb1, onb2, n)
-    lhs = np.sum(_node_weights(onb2) * np.abs(op2v) ** 2, axis=1)
-    rhs = np.sum(_node_weights(onb1) * np.abs(v1) ** 2, axis=1)
+    lhs = np.sum(onb2.rule.weights * onb2.node_nu * np.abs(op2v) ** 2, axis=1)
+    rhs = np.sum(onb1.rule.weights * onb1.node_nu * np.abs(v1) ** 2, axis=1)
     return lhs / (corr.p * corr.q * rhs)
 
 

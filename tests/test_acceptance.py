@@ -66,8 +66,8 @@ def test_criterion_2_annulus_reduced_oracle():
     # full minus reduced recovers the residue term (z conj(w))^-1 / (2 pi ln 2)
     from redbergman import KernelEvaluator, laurent_basis
     one = ConstantWeight()
-    full_basis = laurent_basis(0.0, -20, 20, ev.rule.domain)
-    full = KernelEvaluator(orthonormalize(full_basis, ev.rule, one))
+    full_basis = laurent_basis(0.0, -20, 20, ev.onb.rule.domain)
+    full = KernelEvaluator(orthonormalize(full_basis, ev.onb.rule, one))
     sub = grid[:: 7]
     diff = full.eval_kernel_grid(sub, sub) - ev.eval_kernel_grid(sub, sub)
     term = 1.0 / (sub[:, None] * np.conj(sub[None, :])) / (2.0 * math.pi * math.log(2.0))
@@ -97,7 +97,7 @@ def test_criterion_3_proper_map_disc():
 def test_criterion_4_proper_map_annulus():
     ev1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41)
     ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
-    f = PowerMap(2, ev1.rule.domain, ev2.rule.domain)
+    f = PowerMap(2, ev1.onb.rule.domain, ev2.onb.rule.domain)
     rep = verify_proper(f, ev1, ev2, annulus_grid(0.75, 0.95, 6, 12),
                         annulus_grid(0.55, 0.95, 8, 12))
     report("criterion 4 (transformation formula, z^2 between annuli)",
@@ -199,8 +199,9 @@ def test_criterion_9_structural_invariants():
     xi = 0.3
     # one node_sums matrix over phi_0..phi_4, K(., P) for P in pts[:8],
     # K(., xi) and 2z
-    rows = np.vstack([ev.onb.coeffs[:5], ev.kernel_rows(np.r_[pts[:8], xi])])
-    s = ev.node_sums(rows, [lambda z: 2.0 * z])
+    rows = np.vstack([np.eye(5, ev.onb.retained_count),
+                      ev.onb.phi_values(np.r_[pts[:8], xi]).conj()])
+    s = ev.onb.node_sums(rows, [lambda z: 2.0 * z])
     phi_pts = ev.onb.phi_values(pts[:5], 5)
     repro = max(abs(s[k, 5 + k] - phi_pts[k, k]) for k in range(5))
 

@@ -409,6 +409,36 @@ def test_operator_bound_gate_allows_only_rounding_above_one(tmp_path, monkeypatc
     assert ratio <= 1 + (excess or 1e-13)
 
 
+@pytest.mark.parametrize("command, preset, target, fake, gate", [
+    ("kernel", "annulus_reduced_oracle", "annulus_kernel",
+     lambda zs, ws, *args, **kwargs: np.full(np.broadcast(zs, ws).shape, np.nan + 0j), "nan"),
+    ("adjoint", "adjoint_disc", "adjoint_residual_matrix",
+     lambda model, onb1, onb2, n, source: np.full((n, n), np.nan), "nan"),
+    ("adjoint", "adjoint_disc", "operator_bound_check",
+     lambda model, onb1, onb2, n, source: np.array([1.0, np.nan]), "inf"),
+], ids=["oracle", "adjoint residual", "bound ratio"])
+def test_a_nan_residual_fails_its_gate(tmp_path, monkeypatch, command, preset, target, fake,
+                                       gate):
+    from redbergman import cli
+
+    owner = cli.oracles if target == "annulus_kernel" else cli
+    monkeypatch.setattr(owner, target, fake)
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, preset_text(preset))) == 1
+    summary = (only_run_dir(tmp_path, f"{command}-") / "summary.txt").read_text()
+    fields = dict(line.split(" = ", 1) for line in summary.splitlines())
+    assert fields["status"] == "gate_failed"
+    assert fields["gate_value"] == gate
+
+
+def test_adjoint_n_elements_above_the_retained_counts_is_a_config_error(tmp_path, capsys):
+    # adjoint_disc keeps 9 elements on each side
+    cfg = write_cfg(tmp_path, preset_text("adjoint_disc"))
+    assert run_cli(tmp_path, "adjoint", cfg, "--set", "adjoint.n_elements=9") == 0
+    assert run_cli(tmp_path, "adjoint", cfg, "--set", "adjoint.n_elements=10") == 2
+    err = capsys.readouterr().err
+    assert "adjoint.n_elements = 10" in err and "counts 9, 9 (source, target)" in err
+
+
 def test_drop_tol_above_one_is_a_numerical_failure(tmp_path):
     # the disc's Gram is exactly diagonal, and still every pivot drops
     cfg = write_cfg(tmp_path, preset_text("disc_kernel_oracle"))
@@ -456,7 +486,7 @@ def multi_block_ellipse_checks(n_grid=128):
     """The invariants preset's checks on the ellipse x^2 + 2 y^2 < 0.98 with
     41 raw elements and about 0.77 n_grid^2 midpoint nodes (at 128, three
     node blocks and a remainder); returns (config, evaluator, check sample
-    grid)."""
+    grid, raw basis size)."""
     from redbergman import cli
 
     cfg = yaml.safe_load(cli.preset_text("invariants_disc"))
@@ -469,9 +499,9 @@ def multi_block_ellipse_checks(n_grid=128):
     )
     cfg["basis"]["degree"] = 40
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
-    _, _, orthonormal, _ = cli.build_side(cfg)
+    _, basis, orthonormal, _ = cli.build_side(cfg)
     ev = cli.KernelEvaluator(orthonormal(cli.build_weight(cfg)))
-    return cfg, ev, cli.build_grid(cfg, "grid.z")
+    return cfg, ev, cli.build_grid(cfg, "grid.z"), len(basis)
 
 
 def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
@@ -479,8 +509,8 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
     from redbergman.holobasis import RawBasis
     from redbergman.kernel import GRAM_BLOCK
 
-    cfg, ev, zs = multi_block_ellipse_checks()
-    nodes = ev.rule.nodes
+    cfg, ev, zs, _ = multi_block_ellipse_checks()
+    nodes = ev.onb.rule.nodes
     assert len(nodes) > 3 * GRAM_BLOCK
     calls = []
     real = RawBasis.values
@@ -515,8 +545,8 @@ def test_checks_never_hold_a_node_by_basis_array(tmp_path):
     from redbergman.kernel import GRAM_BLOCK
 
     for n_grid, blocks in ((128, 3), (256, 12)):
-        cfg, ev, zs = multi_block_ellipse_checks(n_grid)
-        assert len(ev.rule.nodes) > blocks * GRAM_BLOCK
+        cfg, ev, zs, n_raw = multi_block_ellipse_checks(n_grid)
+        assert len(ev.onb.rule.nodes) > blocks * GRAM_BLOCK
         run = cli.RunDir(str(tmp_path), "kernel", cfg)
         tracemalloc.start()
         try:
@@ -526,7 +556,7 @@ def test_checks_never_hold_a_node_by_basis_array(tmp_path):
             tracemalloc.stop()
         # one block of raw values and three blocks of the (at most 11) check
         # functions: a bound in GRAM_BLOCK, not in the node count
-        assert peak < 16 * GRAM_BLOCK * (len(ev.onb.raw) + 3 * 11), n_grid
+        assert peak < 16 * GRAM_BLOCK * (n_raw + 3 * 11), n_grid
 
 
 # sides: the suffixes whose domain, quadrature and basis blocks are built;
@@ -669,6 +699,10 @@ def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys,
     ("kernel", DISC_KERNEL_CFG, "drop_tol=x", "drop_tol"),
     ("kernel", DISC_KERNEL_CFG, "drop_tol=0", "drop_tol"),
     ("kernel", DISC_KERNEL_CFG, "tolerance=x", "tolerance"),
+    # a NaN bound would pass every residual
+    ("kernel", DISC_KERNEL_CFG, "tolerance=.nan", "'tolerance' must be a number, got nan"),
+    ("kernel", DISC_KERNEL_CFG, "checks.reproduce_basis=nan",
+     "'checks.reproduce_basis' must be a number, got 'nan'"),
     ("kernel", POWER_WEIGHT_CFG, "weight.alpha=[1]", "'weight.alpha'"),
     ("kernel", DISC_KERNEL_CFG, "weight.value=[1]", "'weight.value'"),
     ("kernel", DISC_KERNEL_CFG, "weight={type: radial_poly, coeffs: 3}", "'weight.coeffs'"),
@@ -691,6 +725,7 @@ def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys,
      "'quadrature2.n_radial'"),
 ], ids=["n_min-text", "n_max-list", "n_min-above-n_max", "n_elements-text",
         "check-tolerance-text", "drop_tol-text", "drop_tol-zero", "tolerance-text",
+        "tolerance-nan", "check-tolerance-nan-text",
         "weight-alpha-list", "weight-value-list", "radial-coeffs-scalar",
         "radial-coeffs-entry-text", "oracle-alpha-text", "degree-bool", "grid-n-bool",
         "map-m-float", "radius-text", "csv-string", "reduced-int", "constant-correspondence",
@@ -733,6 +768,7 @@ def test_cfg_get_kinds():
 @pytest.mark.parametrize("override, key", [
     ("checks.conjugate_symetry=1.0e-12", "conjugate_symetry"),
     ("checks.conjugate_symmetry=abc", "checks.conjugate_symmetry"),
+    ("checks.conjugate_symmetry=.nan", "'checks.conjugate_symmetry' must be a number, got nan"),
     ("grid.w.rmax=abc", "grid.w.rmax"),
     ("oracle.grid={z: {kind: cartesian, rmax: 0.5, n: 3}, w: {kind: polar}}", "oracle.grid.w"),
     ('output.csv="no"', "output.csv"),
@@ -740,9 +776,9 @@ def test_cfg_get_kinds():
     ("oracle={type: disc_power_weight, alpha: abc}", "'oracle.alpha'"),
     ("domain.radius=2.0", "oracle.type = disc requires the unit disc"),
     ("oracle={type: annulus_reduced}", "oracle.type = annulus_reduced requires an annulus"),
-], ids=["misspelt-check", "tolerance-text", "grid-w-text", "oracle-grid-w-missing",
-        "csv-string", "oracle-type-unknown", "oracle-alpha-text", "oracle-off-unit-disc",
-        "annulus-oracle-on-disc"])
+], ids=["misspelt-check", "tolerance-text", "tolerance-nan", "grid-w-text",
+        "oracle-grid-w-missing", "csv-string", "oracle-type-unknown", "oracle-alpha-text",
+        "oracle-off-unit-disc", "annulus-oracle-on-disc"])
 def test_checks_are_config_errors_before_the_numerics(tmp_path, capsys, monkeypatch,
                                                       override, key):
     from redbergman import cli

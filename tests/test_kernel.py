@@ -12,11 +12,13 @@ orthonormalization of a diagonal Gram against the pivoted Cholesky and
 triangular solve.
 """
 
+import ast
 import dataclasses
 import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -555,10 +557,54 @@ def test_orthonormalize_drops_dependent_element():
     assert onb.retained_count == 2
 
 
+@pytest.mark.parametrize("weight", [ONE, PowerWeight(1.0)], ids=["constant", "power"])
+def test_node_sums_of_a_system_that_drops_elements(weight):
+    # the powers up to 3 about 0.2 span nothing new: four of 13 elements drop
+    rule = build_disc_quadrature(0.0, 1.0, 20, 40)
+    basis = RawBasis(tuple(BasisElement(n, 0.0) for n in range(9))
+                     + tuple(BasisElement(n, 0.2) for n in range(4)), rule.domain)
+    onb = orthonormalize(basis, rule, weight)
+    n = onb.retained_count
+    assert n == 9 < len(basis)
+    eye = np.eye(n)
+    assert np.max(np.abs(onb.node_sums(eye) - eye)) <= 1e-12
+    assert onb.orthonormality_residual() <= 1e-12
+    # the row conj(phi(zeta)) is K(., zeta) and reproduces each phi_j at zeta
+    zeta = np.array([0.3 - 0.4j])
+    p = onb.phi_values(zeta)
+    s = onb.node_sums(np.vstack([eye, p.conj()]))
+    assert np.max(np.abs(s[:n, n] - p[0])) <= 1e-12
+
+
+def test_only_kernel_reads_an_orthonormal_systems_coefficients():
+    """Outside kernel.py no module reads ``.coeffs`` or ``.raw`` of an
+    object other than its own ``self`` (the correspondence and the radial
+    weight keep coefficients of their own): an orthonormal system is read
+    through its values, ``node_sums`` and ``node_nu``."""
+    src = Path(kernel.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name, owner = node.attr, node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                name, owner = node.args[1].value, node.args[0]
+            else:
+                continue
+            if name in ("coeffs", "raw") and not (isinstance(owner, ast.Name)
+                                                  and owner.id == "self"):
+                reads.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert reads == []
+
+
 def test_orthonormalize_annulus_reduced_no_drop():
     ev = annulus_evaluator()
     assert ev.onb.retained_count == 40     # 41 Laurent powers minus z^-1
-    assert ev.orthonormality_residual() < 1e-8
+    assert ev.onb.orthonormality_residual() < 1e-8
 
 
 def test_eval_kernel_disc_against_closed_form():
@@ -627,17 +673,18 @@ def test_annulus_full_minus_reduced_is_residue_term():
 
 def reproduce(ev, zeta, rows=None, fns=()):
     """Discrete reproducing integrals sum_q w_q nu_q f(node_q) conj(K(node_q, zeta))
-    of the functions rows @ raw, then of the callables fns, each an entry of
-    the node_sums column at K(., zeta), as the CLI checks read them."""
-    k = ev.kernel_rows(zeta)
-    return ev.node_sums(k if rows is None else np.vstack([k, rows]), fns)[1:, 0]
+    of the functions rows @ phi (orthonormal coordinates), then of the
+    callables fns, each an entry of the node_sums column at K(., zeta),
+    whose row is conj(phi(zeta)), as the CLI checks read them."""
+    k = ev.onb.phi_values(np.atleast_1d(np.asarray(zeta, dtype=complex))).conj()
+    return ev.onb.node_sums(k if rows is None else np.vstack([k, rows]), fns)[1:, 0]
 
 
 def self_reproduction(ev, pts):
     """(n, n) matrix |K(P_i, P_j) - sum_q w_q nu_q K(node_q, P_j) conj(K(node_q, P_i))|
     for n points P, as the CLI check forms it from node_sums."""
     p = ev.onb.phi_values(np.asarray(pts, dtype=complex))
-    return np.abs(np.sum(p[:, None] * p.conj(), axis=-1) - ev.node_sums(ev.kernel_rows(pts)).T)
+    return np.abs(np.sum(p[:, None] * p.conj(), axis=-1) - ev.onb.node_sums(p.conj()).T)
 
 
 def self_residual(ev, z, zeta):
@@ -647,7 +694,8 @@ def self_residual(ev, z, zeta):
 def test_reproduce_on_basis_element_and_constant():
     ev = disc_evaluator(degree=10, n_radial=24, n_angular=48)
     phi3 = ev.onb.phi_values(np.array([0.4]), 4)[0, 3]
-    assert reproduce(ev, 0.4, ev.onb.coeffs[3:4])[0] == pytest.approx(phi3, abs=1e-6)
+    e3 = np.eye(1, ev.onb.retained_count, 3)
+    assert reproduce(ev, 0.4, e3)[0] == pytest.approx(phi3, abs=1e-6)
     assert reproduce(ev, 0.2 + 0.1j, fns=[np.ones_like])[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -762,7 +810,7 @@ def test_batched_self_reproduction_matches_scalar_calls(case):
 def test_batched_reproduce_matches_column_calls(case):
     ev = BATCH_EVALUATORS[case]()
     zeta = 0.25 - 0.3j
-    rows = ev.onb.coeffs[:3]
+    rows = np.eye(3, ev.onb.retained_count)
     fns = [np.ones_like, lambda z: 2.0 * z, lambda z: z ** 7]
     got = reproduce(ev, zeta, rows, fns)
     want = np.array([reproduce(ev, zeta, row[None])[0] for row in rows]
@@ -785,14 +833,16 @@ RING_POINTS = np.array([0.6 + 0.2j, -0.55 + 0.3j, 0.1 - 0.62j, -0.4 - 0.45j])
 @pytest.mark.parametrize("case", NODE_EVALUATORS)
 def test_node_kernel_from_raw_values_matches_node_matrix(case):
     ev = NODE_EVALUATORS[case]()
-    nodes = ev.rule.nodes
+    onb = ev.onb
+    nodes = onb.rule.nodes
     fns = [np.ones_like, lambda z: 2.0 * z]
-    got = ev.node_sums(np.vstack([ev.onb.coeffs[:3], ev.kernel_rows(RING_POINTS)]), fns)
+    rows = np.vstack([np.eye(3, onb.retained_count), onb.phi_values(RING_POINTS).conj()])
+    got = onb.node_sums(rows, fns)
     got_self = self_reproduction(ev, RING_POINTS)
     assert "_node_phi" not in ev.__dict__
     # the same sums from the orthonormal node matrix, one 1-D sum per entry
     phi = ev._node_phi
-    wq = ev.rule.weights * ev._node_nu
+    wq = onb.rule.weights * onb.node_nu
     p = ev.onb.phi_values(RING_POINTS)
     k = p.conj() @ phi.T
     f = np.vstack([phi[:, :3].T, k, np.ones(len(nodes)), 2.0 * nodes])
@@ -832,14 +882,15 @@ def test_evaluator_thread_safety():
 
 def test_evaluator_builds_node_matrix_on_first_use():
     ev = disc_evaluator_shared()
-    assert ev.orthonormality_residual() < 1e-12
+    assert ev.onb.orthonormality_residual() < 1e-12
     assert "_node_phi" not in ev.__dict__
-    assert np.array_equal(ev._node_phi, ev.onb.phi_values(ev.rule.nodes))
+    assert np.array_equal(ev._node_phi, ev.onb.phi_values(ev.onb.rule.nodes))
     assert "_node_phi" in ev.__dict__
 
 
 def assert_node_weights_read_on_first_use(center):
-    """The evaluator reads nu at the nodes (node_nu) on first use only."""
+    """The system reads nu at the nodes (node_nu) on first use only, and
+    once: its node sums and the evaluator's _node_nu read the held array."""
     calls = []
 
     class CountingWeight(PowerWeight):
@@ -855,14 +906,16 @@ def assert_node_weights_read_on_first_use(center):
     ev = disc_evaluator(degree=10, n_radial=24, n_angular=48, weight=weight)
     # one read of nu at the nodes: a weight radial about the rule's centre
     # once per ring, any other one once per node after refusing the rings
-    n = [24] if center == 0.0 else [24, len(ev.rule.nodes)]
+    n = [24] if center == 0.0 else [24, len(ev.onb.rule.nodes)]
     assert calls == n  # the Gram's
     ev.eval_kernel_grid(CHECK_POINTS, CHECK_POINTS)
-    assert calls == n and "_node_nu" not in ev.__dict__
-    assert ev.orthonormality_residual() < 1e-12
+    assert calls == n and "node_nu" not in ev.onb.__dict__
+    assert ev.onb.orthonormality_residual() < 1e-12
     assert calls == 2 * n
-    assert np.array_equal(ev._node_nu, kernel.node_nu(ev.rule, weight))
-    assert ev.orthonormality_residual() < 1e-12
+    assert ev.onb.orthonormality_residual() < 1e-12
+    assert ev._node_nu is ev.onb.node_nu
+    assert calls == 2 * n
+    assert np.array_equal(ev.onb.node_nu, kernel.node_nu(ev.onb.rule, weight))
     assert calls == 3 * n
 
 

@@ -193,6 +193,30 @@ def test_adjoint_evaluates_the_raw_basis_once_per_point_set(monkeypatch, n):
     assert len(calls) == 4
 
 
+def test_adjoint_sums_read_each_systems_weight_once(monkeypatch):
+    # the adjointness and bound sums read nu at the nodes from the system,
+    # which evaluates it on first read: one node_nu per system in all
+    from redbergman import kernel
+
+    calls = []
+    real = kernel.node_nu
+
+    def counting(rule, weight):
+        calls.append(weight)
+        return real(rule, weight)
+
+    monkeypatch.setattr(kernel, "node_nu", counting)
+    rule = build_disc_quadrature(0.0, 1.0, 12, 24)
+    nu, f = PowerWeight(1.0), PowerMap(2)
+    onb1, onb2 = disc_system(rule, pullback_weight(nu, f)), disc_system(rule, nu)
+    calls.clear()  # the Grams'
+    for _ in range(2):
+        adjoint_residual_matrix(f, onb1, onb2, 3)
+        adjoint_residual_matrix(W2_MINUS_Z, onb2, onb2, 3)
+        operator_bound_check(W2_MINUS_Z, onb2, onb2, 3)
+    assert calls == [onb1.weight, onb2.weight]
+
+
 def test_operator_bound():
     rule = build_disc_quadrature(0.0, 1.0, 40, 80)
     onb = disc_system(rule)
@@ -243,14 +267,15 @@ def test_verify_proper_power2_annulus_reduced():
     ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
     zg = annulus_grid(0.75, 0.95, 4, 8)
     wg = annulus_grid(0.55, 0.95, 5, 8)
-    report = verify_proper(PowerMap(2, ev1.rule.domain, ev2.rule.domain), ev1, ev2, zg, wg)
+    report = verify_proper(PowerMap(2, ev1.onb.rule.domain, ev2.onb.rule.domain), ev1, ev2, zg, wg)
     assert report.excluded == 0
     assert report.max_rel_residual < 1e-5
 
     # refining the quadrature one notch keeps the residual at rounding level
     fine1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41, n_radial=64, n_angular=256)
     fine2 = annulus_evaluator(0.5, 1.0, -20, 20, n_radial=64, n_angular=128)
-    fine = verify_proper(PowerMap(2, fine1.rule.domain, fine2.rule.domain), fine1, fine2, zg, wg)
+    fine = verify_proper(PowerMap(2, fine1.onb.rule.domain, fine2.onb.rule.domain),
+                         fine1, fine2, zg, wg)
     assert fine.max_rel_residual <= report.max_rel_residual * 1.5 + 1e-12
 
 
@@ -475,7 +500,7 @@ def sweep_cases():
         yield corr, ev, ev, zg, wg
     ev1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41)
     ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
-    yield (PowerMap(2, ev1.rule.domain, ev2.rule.domain), ev1, ev2,
+    yield (PowerMap(2, ev1.onb.rule.domain, ev2.onb.rule.domain), ev1, ev2,
            annulus_grid(0.75, 0.95, 4, 8), annulus_grid(0.55, 0.95, 5, 8))
     nu = RadialPolyWeight([1.0, 0.5, 2.0])
     rule = build_disc_quadrature(0.0, 1.0, 24, 64)
