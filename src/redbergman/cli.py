@@ -4,7 +4,7 @@ One declarative YAML config per experiment; subcommands pick which
 pipeline runs on it.  Outputs (CSV + a plain-text summary record) land
 in a directory namespaced by the hash of the effective config, so
 concurrent runs never collide.  A summary is written even when the
-residual gate fails.
+residual gate fails; a config error writes nothing.
 
 Exit codes: 0 success, 1 gated-residual failure, 2 config error,
 3 numerical failure.
@@ -324,7 +324,7 @@ def build_side(cfg, suffix=""):
     domain = build_domain(cfg, "domain" + suffix)
     rule = build_rule(cfg, domain, "quadrature" + suffix)
     basis, n_prefilter = build_basis(cfg, domain, "basis" + suffix)
-    # orthonormalize checks drop_tol too, but lazily, inside the evaluator
+    # orthonormalize checks drop_tol too, but only when orthonormal(weight) runs
     drop_tol = cfg_get(cfg, "drop_tol", 1e-10, float)
     if not drop_tol > 0:
         raise ConfigError(f"'drop_tol' must be positive, got {drop_tol!r}")
@@ -349,20 +349,28 @@ def build_sides(cfg):
 # output plumbing
 
 class RunDir:
+    """A run's output directory, named by its config's hash and created,
+    with config.yaml, by the run's first output file."""
+
     def __init__(self, out_root, subcommand, cfg):
         canonical = json.dumps(cfg, sort_keys=True, default=str).encode()
         digest = hashlib.sha256(canonical).hexdigest()[:12]
         self.path = os.path.join(out_root, f"{subcommand}-{digest}")
-        os.makedirs(self.path, exist_ok=True)
+        self.cfg = cfg  # None once config.yaml is written
         self.summary = {"config_hash": digest}
 
     def file(self, name):
+        if self.cfg is not None:
+            os.makedirs(self.path, exist_ok=True)
+            with open(os.path.join(self.path, "config.yaml"), "w", encoding="utf-8") as fh:
+                yaml.dump(self.cfg, fh, Dumper=CONFIG_DUMPER, sort_keys=True)
+            self.cfg = None
         return os.path.join(self.path, name)
 
     def add(self, **fields):
         self.summary.update(fields)
 
-    def write_summary(self, status):
+    def write_summary(self, status, verbose=False):
         lines = [f"status = {status}"]
         for k, v in self.summary.items():
             if isinstance(v, float):
@@ -370,7 +378,8 @@ class RunDir:
             lines.append(f"{k} = {v}")
         with open(self.file("summary.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        return lines
+        if verbose:
+            print("\n".join(lines))
 
 
 # format(x, ".17g") has at most 24 characters: -d.dddddddddddddddde-XXX
@@ -556,9 +565,13 @@ def build_oracle(cfg, domain):
         reduced = cfg_get(cfg, "basis.reduced", False, bool)
         if reduced != (kind == "annulus_reduced"):
             raise ConfigError("oracle reduced/full flavor must match basis.reduced")
+        c = domain.center  # the series is in powers of z - c
+        if cfg_get(cfg, "basis.center", 0j, complex) != c:
+            raise ConfigError(f"oracle.type = {kind} requires basis.center at the annulus centre")
         window = cfg_get(cfg, "basis.n_min", kind=int), cfg_get(cfg, "basis.n_max", kind=int)
-        return lambda zs, ws: oracles.annulus_kernel(zs[:, None], ws[None, :], domain.r_inner,
-                                                     domain.r_outer, *window, reduced=reduced)
+        return lambda zs, ws: oracles.annulus_kernel(zs[:, None] - c, ws[None, :] - c,
+                                                     domain.r_inner, domain.r_outer, *window,
+                                                     reduced=reduced)
     raise ConfigError(f"unknown oracle.type {kind!r}")
 
 
@@ -672,10 +685,9 @@ def run_verify(cfg, run: RunDir):
     zs, ws = build_grids(cfg, "grid")
     d1, orthonormal1, d2, orthonormal2 = build_sides(cfg)
     model = build_map(cfg, d1, d2) if has_map else build_correspondence(cfg, d1, d2)
-    ev1 = KernelEvaluator(orthonormal1(pullback_weight(weight, model)))
-    ev2 = KernelEvaluator(orthonormal2(weight))
     # a proper map is swept as its graph correspondence
-    report = verify_correspondence(model, ev1, ev2, zs, ws)
+    report = verify_correspondence(model, orthonormal1(pullback_weight(weight, model)),
+                                   orthonormal2(weight), zs, ws)
     run.add(n_samples=report.n_samples, excluded=report.excluded,
             max_abs_residual=report.max_abs_residual,
             max_rel_residual=report.max_rel_residual, lhs_scale=report.lhs_scale)
@@ -686,10 +698,10 @@ def run_verify(cfg, run: RunDir):
 
 
 def _write_residual_csv(run, report):
-    """One row per kept sample of the sweep, w-major."""
-    j, i = np.nonzero(report.kept.T)
-    z, w, lhs = report.z[i], report.w[j], report.lhs[i, j]
-    cols = (z.real, z.imag, w.real, w.imag, np.abs(lhs - report.rhs[i, j]), np.abs(lhs))
+    """One row per sample of the sweep's record, w-major."""
+    z, w = np.tile(report.z, len(report.w)), np.repeat(report.w, len(report.z))
+    lhs, rhs = report.lhs.T.ravel(), report.rhs.T.ravel()
+    cols = (z.real, z.imag, w.real, w.imag, np.abs(lhs - rhs), np.abs(lhs))
     write_csv(run.file("samples.csv"),
               ["re_z", "im_z", "re_w", "im_w", "abs_residual", "abs_lhs"], np.column_stack(cols))
 
@@ -810,8 +822,6 @@ def preset_text(name):
 
 def execute(subcommand, cfg, out_root, verbose=False):
     run = RunDir(out_root, subcommand, cfg)
-    with open(run.file("config.yaml"), "w", encoding="utf-8") as fh:
-        yaml.dump(cfg, fh, Dumper=CONFIG_DUMPER, sort_keys=True)
     run.add(seed=cfg_get(cfg, "seed", 0, int))
     tolerance = cfg_get(cfg, "tolerance", None, float)
     try:
@@ -820,17 +830,13 @@ def execute(subcommand, cfg, out_root, verbose=False):
         raise
     except (RedBergmanError, np.linalg.LinAlgError) as exc:
         run.add(error=f"{type(exc).__name__}: {exc}")
-        lines = run.write_summary("error")
-        if verbose:
-            print("\n".join(lines))
+        run.write_summary("error", verbose)
         print(f"{subcommand}: numerical failure: {exc}", file=sys.stderr)
         return 3
     gated = tolerance is not None and not gate_value <= tolerance  # NaN fails
     if tolerance is not None:
         run.add(gate_value=float(gate_value), gate_tolerance=tolerance)
-    lines = run.write_summary("gate_failed" if gated else "ok")
-    if verbose:
-        print("\n".join(lines))
+    run.write_summary("gate_failed" if gated else "ok", verbose)
     print(f"{subcommand}: {'FAIL' if gated else 'ok'} "
           f"(gate {_fmt(gate_value)}{'' if tolerance is None else ' vs tol ' + _fmt(tolerance)}) "
           f"-> {run.path}")

@@ -16,12 +16,12 @@ system holds (``node_nu``).  A sweep takes each side's branch sums on
 the orthonormal elements, then one product with their values on the
 other grid: 2*nz*nw*n complex multiply-adds, not (p + q)*nz*nw*n.
 
-Sweeps exclude the samples within GRID_EXCLUSION of the singular sets
-(critical values, discriminant loci) and count them; a query outside
-those zones whose branches cannot be resolved raises its error.  Map
-recovery differentiates the kernel branch sum exactly in conj(w), from
-the analytic kernel derivative and the second derivatives of the local
-inverses.
+Sweeps leave out the grid points within GRID_EXCLUSION of the singular
+sets (critical values, discriminant loci) and record the kept sub-grid;
+a query outside those zones whose branches cannot be resolved raises its
+error.  Map recovery differentiates the kernel branch sum exactly in
+conj(w), from the analytic kernel derivative and the second derivatives
+of the local inverses.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ ABS_FALLBACK_SCALE = 1e-10
 class TransformReport:
     """Per-sample record of one verification sweep and its statistics.
 
-    ``lhs``/``rhs`` have shape (len(z), len(w)); ``kept`` marks the
-    samples outside every exclusion zone, and the other entries are NaN.
+    ``lhs``/``rhs`` hold both sides on the kept sub-grid z x w; the
+    ``excluded`` of the ``n_samples`` grid samples are not in it.
     ``max_rel_residual`` normalizes each sample by |LHS| but falls back
     to the absolute residual where |LHS| < 1e-10 (identity checks near
     kernel zeros would otherwise divide noise by noise); with no kept
@@ -71,7 +71,6 @@ class TransformReport:
     w: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    kept: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -146,39 +145,31 @@ def operator_bound_check(corr: CorrespondenceModel, onb1: OrthonormalBasis,
 # ---------------------------------------------------------------------------
 # transformation-formula sweeps
 
-def verify_correspondence(corr: CorrespondenceModel | ProperMap, ev1: KernelEvaluator,
-                          ev2: KernelEvaluator, z_grid, w_grid) -> TransformReport:
+def verify_correspondence(corr: CorrespondenceModel | ProperMap, onb1: OrthonormalBasis,
+                          onb2: OrthonormalBasis, z_grid, w_grid) -> TransformReport:
     """Residuals of sum_i f_i'(z) K2(f_i(z), w) = sum_j K1(z, F_j(w)) conj(F_j'(w))
-    over the grid product, ev1 on the source and ev2 on the target.  A
-    proper map is swept as its graph; for weighted kernels ev2 carries a
-    weight nu and ev1 its pull-back nu o f (``pullback_weight``).  Samples
-    within GRID_EXCLUSION of the singular sets are excluded; any other
-    query whose branches cannot be resolved raises its error."""
+    over the grid product, K1 the kernel of the source system onb1 and K2
+    of the target system onb2.  A proper map is swept as its graph; for
+    weighted kernels onb2 carries a weight nu and onb1 its pull-back
+    nu o f (``pullback_weight``).  Grid points within GRID_EXCLUSION of
+    the singular sets are left out; any other query whose branches
+    cannot be resolved raises its error."""
     zs = np.asarray(z_grid, dtype=complex)
     ws = np.asarray(w_grid, dtype=complex)
-    kz = far_from(zs, corr.v1, GRID_EXCLUSION)
-    kw = far_from(ws, corr.v2, GRID_EXCLUSION)
-    forward = branch_table(corr, zs[kz], forward=True)      # (nz, p)
-    backward = branch_table(corr, ws[kw], forward=False)    # (nw, q)
-    s2 = _branch_sums(ev2.onb, None, forward)               # (n2, nz)
-    r1 = _branch_sums(ev1.onb, None, backward)              # (n1, nw)
-    kept_lhs = s2.T @ ev2.onb.phi_values(ws[kw]).conj().T   # (nz, nw)
-    kept_rhs = ev1.onb.phi_values(zs[kz]) @ r1.conj()
-    absres = np.abs(kept_lhs - kept_rhs)
-    lhs_mag = np.abs(kept_lhs)
+    z = zs[far_from(zs, corr.v1, GRID_EXCLUSION)]
+    w = ws[far_from(ws, corr.v2, GRID_EXCLUSION)]
+    s2 = _branch_sums(onb2, None, branch_table(corr, z, forward=True))    # (n2, nz)
+    r1 = _branch_sums(onb1, None, branch_table(corr, w, forward=False))   # (n1, nw)
+    lhs = s2.T @ onb2.phi_values(w).conj().T                              # (nz, nw)
+    rhs = onb1.phi_values(z) @ r1.conj()
+    absres = np.abs(lhs - rhs)
+    lhs_mag = np.abs(lhs)
     rel = absres / np.where(lhs_mag >= ABS_FALLBACK_SCALE, lhs_mag, 1.0)
     max_abs, max_rel = (float(np.max(a)) if a.size else np.inf for a in (absres, rel))
-    lhs_scale = float(np.max(lhs_mag, initial=0.0))
-    del absres, lhs_mag, rel  # freed before the grid-shaped record is allocated
-    kept = kz[:, None] & kw[None, :]
-    lhs = np.full(kept.shape, np.nan, dtype=complex)
-    rhs = np.full(kept.shape, np.nan, dtype=complex)
-    lhs[kept], rhs[kept] = kept_lhs.ravel(), kept_rhs.ravel()   # the mask's row-major order
     return TransformReport(
-        n_samples=kept.size,
-        excluded=kept.size - int(np.count_nonzero(kept)),
-        max_abs_residual=max_abs, max_rel_residual=max_rel, lhs_scale=lhs_scale,
-        z=zs, w=ws, lhs=lhs, rhs=rhs, kept=kept,
+        n_samples=zs.size * ws.size, excluded=zs.size * ws.size - lhs.size,
+        max_abs_residual=max_abs, max_rel_residual=max_rel,
+        lhs_scale=float(np.max(lhs_mag, initial=0.0)), z=z, w=w, lhs=lhs, rhs=rhs,
     )
 
 

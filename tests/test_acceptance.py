@@ -82,7 +82,7 @@ def test_criterion_2_annulus_reduced_oracle():
 def test_criterion_3_proper_map_disc():
     ev = disc_evaluator(40, 40, 160)
     f = PowerMap(2)
-    rep = verify_proper(f, ev, ev, disc_grid(0.7, 21), disc_grid(0.49, 20))
+    rep = verify_proper(f, ev.onb, ev.onb, disc_grid(0.7, 21), disc_grid(0.49, 20))
     closed = 1.0 / (math.pi * (1.0 - 0.075) ** 2)
     lhs = 2.0 * 0.5 * ev.eval_kernel(0.25, 0.3)
     pts, der = branches_at(f, 0.3, False)
@@ -98,7 +98,7 @@ def test_criterion_4_proper_map_annulus():
     ev1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41)
     ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
     f = PowerMap(2, ev1.onb.rule.domain, ev2.onb.rule.domain)
-    rep = verify_proper(f, ev1, ev2, annulus_grid(0.75, 0.95, 6, 12),
+    rep = verify_proper(f, ev1.onb, ev2.onb, annulus_grid(0.75, 0.95, 6, 12),
                         annulus_grid(0.55, 0.95, 8, 12))
     report("criterion 4 (transformation formula, z^2 between annuli)",
            rep.excluded == 0 and rep.max_rel_residual < 1e-5,
@@ -110,8 +110,8 @@ def test_criterion_5_correspondences():
     ev = disc_evaluator(40, 40, 160)
     zg = disc_grid(0.7, 21)
     wg = disc_grid(0.7, 20)
-    rep_mirror = verify_correspondence(W2_MINUS_Z2, ev, ev, zg, wg)
-    rep_sqrt = verify_correspondence(W2_MINUS_Z, ev, ev, zg, wg)
+    rep_mirror = verify_correspondence(W2_MINUS_Z2, ev.onb, ev.onb, zg, wg)
+    rep_sqrt = verify_correspondence(W2_MINUS_Z, ev.onb, ev.onb, zg, wg)
     report("criterion 5 (correspondence transformation formulas)",
            rep_mirror.max_rel_residual < 1e-6 and rep_sqrt.max_rel_residual < 1e-6,
            f"w^2-z^2 residual {rep_mirror.max_rel_residual:.3e}, "
@@ -130,11 +130,11 @@ def test_criterion_6_weighted():
                    disc_power_weight_kernel(grid[:, None], grid[None, :], 2.0))
 
     zg, wg = disc_grid(0.7, 21), disc_grid(0.49, 20)
-    rep = verify_proper(f, ev1, ev2, zg, wg)
+    rep = verify_proper(f, ev1.onb, ev2.onb, zg, wg)
 
-    wrep = verify_proper(f, disc_evaluator(40, 40, 160, weight_kind="pullback_one"),
-                         disc_evaluator(40, 40, 160), zg, wg)
-    prep = verify_proper(f, disc_evaluator(40, 40, 160), disc_evaluator(40, 40, 160),
+    wrep = verify_proper(f, disc_evaluator(40, 40, 160, weight_kind="pullback_one").onb,
+                         disc_evaluator(40, 40, 160).onb, zg, wg)
+    prep = verify_proper(f, disc_evaluator(40, 40, 160).onb, disc_evaluator(40, 40, 160).onb,
                          zg, wg)
     bitwise = (wrep.max_rel_residual == prep.max_rel_residual
                and wrep.max_abs_residual == prep.max_abs_residual

@@ -344,6 +344,70 @@ def test_residual_csv_rows_are_the_summary_samples(tmp_path):
     assert max(float(r.split(",")[4]) for r in rows) == float(fields["max_abs_residual"])
 
 
+# z = 0 is the singular set of both correspondences; w = 0 only of w^2 - z^2,
+# since w^2 - z has one backward branch and so no discriminant in w
+@pytest.mark.parametrize("preset, excluded", [("corr_sqrt_disc", 3), ("corr_mirror_disc", 6)])
+def test_residual_csv_is_the_sweep_record_w_major(tmp_path, monkeypatch, preset, excluded):
+    from redbergman import cli
+
+    reports = []
+    sweep = cli.verify_correspondence
+    monkeypatch.setattr(cli, "verify_correspondence",
+                        lambda *args: reports.append(sweep(*args)) or reports[-1])
+    cfg = write_cfg(tmp_path, preset_text(preset))
+    assert run_cli(tmp_path, "verify", cfg, "--set", "output.csv=true",
+                   "--set", "grid.z={kind: points, values: [0.3, [0, 0], [0.2, 0.2], [-0.1, 0.5]]}",
+                   "--set", "grid.w={kind: points, values: [0.4, [0, 0], [0.1, -0.3]]}") == 0
+    (rep,) = reports
+    assert (rep.n_samples, rep.excluded) == (12, excluded)
+    rd = only_run_dir(tmp_path, "verify-")
+    fields = dict(line.split(" = ") for line in (rd / "summary.txt").read_text().splitlines())
+    assert (fields["n_samples"], fields["excluded"]) == ("12", str(excluded))
+    with open(rd / "samples.csv", newline="") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == rep.n_samples - rep.excluded
+    res, mag = np.abs(rep.lhs - rep.rhs), np.abs(rep.lhs)
+    assert rows == [[z.real, z.imag, w.real, w.imag, res[i, j], mag[i, j]]
+                    for j, w in enumerate(rep.w) for i, z in enumerate(rep.z)]
+
+
+@pytest.mark.parametrize("command, preset, override", [
+    ("adjoint", "adjoint_disc", "adjoint.n_elements=50"),
+    ("kernel", "annulus_reduced_oracle", "tolerance=.nan"),
+], ids=["adjoint elements", "nan tolerance"])
+def test_a_config_error_writes_no_run_directory(tmp_path, capsys, command, preset, override):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, preset_text(preset)),
+                   "--set", override) == 2
+    assert "config error" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def shifted_annulus_oracle(center):
+    """annulus_reduced_oracle on the annulus and grids about 0.3 + 0.2i,
+    its basis about ``center``."""
+    cfg = yaml.safe_load(preset_text("annulus_reduced_oracle"))
+    for block in (cfg["domain"], *cfg["grid"].values(), *cfg["oracle"]["grid"].values()):
+        block["center"] = [0.3, 0.2]
+    cfg["basis"]["center"] = center
+    return yaml.safe_dump(cfg)
+
+
+def test_annulus_oracle_is_taken_about_the_annulus_centre(tmp_path):
+    cfg = write_cfg(tmp_path, shifted_annulus_oracle([0.3, 0.2]))
+    assert run_cli(tmp_path, "kernel", cfg) == 0
+    summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
+    fields = dict(line.split(" = ") for line in summary.splitlines())
+    assert float(fields["oracle_max_rel_err"]) < 1e-12
+
+
+def test_annulus_oracle_with_the_basis_off_the_centre_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, shifted_annulus_oracle([0.0, 0.0]))
+    assert run_cli(tmp_path, "kernel", cfg) == 2
+    assert "basis.center at the annulus centre" in capsys.readouterr().err
+
+
 def test_branch_failure_outside_the_exclusions_is_a_numerical_failure(tmp_path):
     # Q = w^2 - 4 z^2: for |z| > 1/2 the branches w = +-2z leave the unit
     # disc, far from the singular set {0}, so the sweep reports the failure

@@ -235,14 +235,14 @@ def test_operator_bound():
 def test_verify_proper_identity_is_exact():
     ev = disc_evaluator(20, 24, 64)
     grid = disc_grid(0.6, 9)
-    report = verify_proper(PowerMap(1), ev, ev, grid, grid)
+    report = verify_proper(PowerMap(1), ev.onb, ev.onb, grid, grid)
     assert report.excluded == 0
     assert report.max_rel_residual < 1e-12
 
 
 def test_verify_proper_power2_disc():
     ev = disc_evaluator()
-    report = verify_proper(PowerMap(2), ev, ev, disc_grid(0.7, 11), disc_grid(0.49, 10))
+    report = verify_proper(PowerMap(2), ev.onb, ev.onb, disc_grid(0.7, 11), disc_grid(0.49, 10))
     assert report.max_rel_residual < 1e-6
     # spot value from the closed-form disc kernel
     lhs = 2.0 * 0.5 * ev.eval_kernel(0.25, 0.3)
@@ -252,9 +252,9 @@ def test_verify_proper_power2_disc():
 def test_verify_proper_residual_shrinks_under_refinement():
     f = PowerMap(2)
     zg, wg = disc_grid(0.7, 9), disc_grid(0.49, 8)
-    coarse = verify_proper(f, disc_evaluator(12, 20, 80), disc_evaluator(12, 20, 80),
+    coarse = verify_proper(f, disc_evaluator(12, 20, 80).onb, disc_evaluator(12, 20, 80).onb,
                            zg, wg)
-    fine = verify_proper(f, disc_evaluator(24, 40, 160), disc_evaluator(24, 40, 160),
+    fine = verify_proper(f, disc_evaluator(24, 40, 160).onb, disc_evaluator(24, 40, 160).onb,
                          zg, wg)
     assert fine.max_rel_residual <= coarse.max_rel_residual * 1.5 + 1e-12
     assert fine.max_rel_residual < coarse.max_rel_residual
@@ -267,7 +267,8 @@ def test_verify_proper_power2_annulus_reduced():
     ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
     zg = annulus_grid(0.75, 0.95, 4, 8)
     wg = annulus_grid(0.55, 0.95, 5, 8)
-    report = verify_proper(PowerMap(2, ev1.onb.rule.domain, ev2.onb.rule.domain), ev1, ev2, zg, wg)
+    report = verify_proper(PowerMap(2, ev1.onb.rule.domain, ev2.onb.rule.domain),
+                           ev1.onb, ev2.onb, zg, wg)
     assert report.excluded == 0
     assert report.max_rel_residual < 1e-5
 
@@ -275,25 +276,25 @@ def test_verify_proper_power2_annulus_reduced():
     fine1 = annulus_evaluator(math.sqrt(0.5), 1.0, -39, 41, n_radial=64, n_angular=256)
     fine2 = annulus_evaluator(0.5, 1.0, -20, 20, n_radial=64, n_angular=128)
     fine = verify_proper(PowerMap(2, fine1.onb.rule.domain, fine2.onb.rule.domain),
-                         fine1, fine2, zg, wg)
+                         fine1.onb, fine2.onb, zg, wg)
     assert fine.max_rel_residual <= report.max_rel_residual * 1.5 + 1e-12
 
 
 def test_verify_correspondence_identity_and_mirror():
     ev = disc_evaluator(20, 24, 64)
     grid = disc_grid(0.6, 9)
-    report = verify_correspondence(W_MINUS_Z, ev, ev, grid, grid)
+    report = verify_correspondence(W_MINUS_Z, ev.onb, ev.onb, grid, grid)
     assert report.max_rel_residual < 1e-12
 
     ev = disc_evaluator()
-    report = verify_correspondence(W2_MINUS_Z2, ev, ev, disc_grid(0.7, 11),
+    report = verify_correspondence(W2_MINUS_Z2, ev.onb, ev.onb, disc_grid(0.7, 11),
                                    disc_grid(0.7, 10))
     assert report.max_rel_residual < 1e-6
 
 
 def test_verify_correspondence_sqrt():
     ev = disc_evaluator()
-    report = verify_correspondence(W2_MINUS_Z, ev, ev, disc_grid(0.7, 11),
+    report = verify_correspondence(W2_MINUS_Z, ev.onb, ev.onb, disc_grid(0.7, 11),
                                    disc_grid(0.7, 10))
     assert report.max_rel_residual < 1e-6
 
@@ -305,7 +306,7 @@ def test_verify_correspondence_asymmetric_branch_counts():
     corr = corr_from_terms([(0, 2, 1.0), (3, 0, -1.0)])
     assert (corr.p, corr.q) == (2, 3)
     ev = disc_evaluator()
-    report = verify_correspondence(corr, ev, ev, disc_grid(0.7, 11),
+    report = verify_correspondence(corr, ev.onb, ev.onb, disc_grid(0.7, 11),
                                    disc_grid(0.7, 10))
     assert report.max_rel_residual < 1e-6
 
@@ -313,7 +314,7 @@ def test_verify_correspondence_asymmetric_branch_counts():
 def test_verify_proper_blaschke_map():
     f = BlaschkeProduct([0.0, 0.5])
     ev = disc_evaluator()
-    report = verify_proper(f, ev, ev, disc_grid(0.6, 11), disc_grid(0.5, 10))
+    report = verify_proper(f, ev.onb, ev.onb, disc_grid(0.6, 11), disc_grid(0.5, 10))
     assert report.max_rel_residual < 1e-6
 
 
@@ -327,7 +328,7 @@ def test_verify_weighted_radial_poly():
     pulled = pullback_weight(nu, f)              # 1 + |z|^4
     ev1 = KernelEvaluator(orthonormalize(basis, rule, pulled))
     ev2 = KernelEvaluator(orthonormalize(basis, rule, nu))
-    report = verify_proper(f, ev1, ev2, disc_grid(0.7, 11), disc_grid(0.49, 10))
+    report = verify_proper(f, ev1.onb, ev2.onb, disc_grid(0.7, 11), disc_grid(0.49, 10))
     assert report.max_rel_residual < 1e-6
 
 
@@ -336,13 +337,13 @@ def test_verify_weighted_power2_and_specialization():
     ev1 = disc_evaluator(weight_kind="pullback_abs2_sq")
     ev2 = disc_evaluator(weight_kind="abs2")
     zg, wg = disc_grid(0.7, 11), disc_grid(0.49, 10)
-    report = verify_proper(f, ev1, ev2, zg, wg)
+    report = verify_proper(f, ev1.onb, ev2.onb, zg, wg)
     assert report.max_rel_residual < 1e-6
 
     # the pulled-back weight 1 o f must reproduce the unweighted sweep bit for bit
-    wrep = verify_proper(f, disc_evaluator(weight_kind="pullback_one"),
-                         disc_evaluator(weight_kind="one"), zg, wg)
-    prep = verify_proper(f, disc_evaluator(), disc_evaluator(), zg, wg)
+    wrep = verify_proper(f, disc_evaluator(weight_kind="pullback_one").onb,
+                         disc_evaluator(weight_kind="one").onb, zg, wg)
+    prep = verify_proper(f, disc_evaluator().onb, disc_evaluator().onb, zg, wg)
     assert wrep.max_rel_residual == prep.max_rel_residual
     assert wrep.max_abs_residual == prep.max_abs_residual
     assert wrep.lhs_scale == prep.lhs_scale
@@ -357,7 +358,7 @@ def test_verify_weighted_identity_any_weight():
     ev1 = KernelEvaluator(orthonormalize(basis, rule, pullback_weight(nu, f)))
     ev2 = KernelEvaluator(orthonormalize(basis, rule, nu))
     grid = disc_grid(0.6, 9)
-    report = verify_proper(f, ev1, ev2, grid, grid)
+    report = verify_proper(f, ev1.onb, ev2.onb, grid, grid)
     assert report.max_rel_residual < 1e-12
 
 
@@ -401,7 +402,7 @@ def test_verify_weighted_between_annuli():
     b2 = reduced_filter(laurent_basis(0.0, -20, 20, rule2.domain))
     ev1 = KernelEvaluator(orthonormalize(b1, rule1, pulled))
     ev2 = KernelEvaluator(orthonormalize(b2, rule2, nu))
-    rep = verify_proper(f, ev1, ev2, annulus_grid(0.75, 0.95, 4, 8),
+    rep = verify_proper(f, ev1.onb, ev2.onb, annulus_grid(0.75, 0.95, 4, 8),
                         annulus_grid(0.55, 0.95, 5, 8))
     assert rep.excluded == 0
     assert rep.max_rel_residual < 1e-5
@@ -416,8 +417,8 @@ def test_correspondence_graph_of_map_matches_proper_path():
     assert (corr.p, corr.q) == (1, 2)
     ev = disc_evaluator()
     zg, wg = disc_grid(0.6, 9), disc_grid(0.36, 8)
-    rep_c = verify_correspondence(corr, ev, ev, zg, wg)
-    rep_m = verify_proper(PowerMap(2), ev, ev, zg, wg)
+    rep_c = verify_correspondence(corr, ev.onb, ev.onb, zg, wg)
+    rep_m = verify_proper(PowerMap(2), ev.onb, ev.onb, zg, wg)
     assert rep_c.max_rel_residual < 1e-6
     assert abs(rep_c.max_abs_residual - rep_m.max_abs_residual) < 1e-12
 
@@ -462,7 +463,7 @@ def test_excluded_samples_are_counted():
     ev = disc_evaluator(20, 24, 64)
     zg = disc_grid(0.6, 9)
     wg = np.array([0.0, 0.3, 0.2 + 0.2j])      # w = 0 is the critical value of z^2
-    report = verify_proper(PowerMap(2), ev, ev, zg, wg)
+    report = verify_proper(PowerMap(2), ev.onb, ev.onb, zg, wg)
     assert report.excluded == len(zg)
     assert report.n_samples == 3 * len(zg)
 
@@ -471,7 +472,7 @@ def test_non_finite_grid_point_is_rejected():
     # NaN is not "near" the singular set {0}, so it reaches the solver
     ev = disc_evaluator(20, 24, 64)
     with pytest.raises(ValueError, match="non-finite"):
-        verify_correspondence(W2_MINUS_Z, ev, ev, np.array([np.nan, 0.3]), np.array([0.2]))
+        verify_correspondence(W2_MINUS_Z, ev.onb, ev.onb, np.array([np.nan, 0.3]), np.array([0.2]))
 
 
 def direct_sums(model, ev1, ev2, zs, ws):
@@ -521,17 +522,19 @@ def test_sweep_matches_the_direct_branch_sums(monkeypatch):
         monkeypatch.setattr(cls, name, counting)
     for model, ev1, ev2, zg, wg in sweep_cases():
         calls.clear()
-        report = verify_correspondence(model, ev1, ev2, zg, wg)
+        report = verify_correspondence(model, ev1.onb, ev2.onb, zg, wg)
         # the branch sums at the branch points and the values at the grid points
         assert calls == {"values": 4}
-        kz, kw = report.kept.any(axis=1), report.kept.any(axis=0)
-        assert report.excluded < report.n_samples
-        assert np.all(report.kept == kz[:, None] & kw[None, :])
+        # the record is the sub-grid of the points outside the exclusion zones
+        kz, kw = np.isin(zg, report.z), np.isin(wg, report.w)
+        assert np.array_equal(report.z, zg[kz]) and np.array_equal(report.w, wg[kw])
+        assert report.excluded < report.n_samples == len(zg) * len(wg)
+        assert report.lhs.shape == report.rhs.shape == (kz.sum(), kw.sum())
+        assert report.lhs.size == report.n_samples - report.excluded
         lhs, rhs = direct_sums(model, ev1, ev2, zg[kz], wg[kw])
         tol = 1e-13 * report.lhs_scale
-        assert np.max(np.abs(report.lhs[np.ix_(kz, kw)] - lhs)) <= tol
-        assert np.max(np.abs(report.rhs[np.ix_(kz, kw)] - rhs)) <= tol
-        assert np.all(np.isnan(report.lhs[~report.kept]))
+        assert np.max(np.abs(report.lhs - lhs)) <= tol
+        assert np.max(np.abs(report.rhs - rhs)) <= tol
 
 
 @pytest.mark.parametrize("model, z, w", [
@@ -540,10 +543,10 @@ def test_sweep_matches_the_direct_branch_sums(monkeypatch):
 ], ids=["no-w", "no-z"])
 def test_sweep_with_no_kept_sample_fails_every_gate(model, z, w):
     ev = disc_evaluator(20, 24, 64)
-    report = verify_correspondence(model, ev, ev, z, w)
+    report = verify_correspondence(model, ev.onb, ev.onb, z, w)
     assert report.excluded == report.n_samples == len(z) * len(w)
     assert report.max_rel_residual == report.max_abs_residual == np.inf
-    assert np.all(np.isnan(report.lhs)) and np.all(np.isnan(report.rhs))
+    assert report.lhs.size == report.rhs.size == 0
 
 
 # ---------------------------------------------------------------------------
