@@ -308,6 +308,8 @@ def build_grid(cfg, key, seed=0):
         raise ConfigError(f"{key}: {exc}") from exc
     if pts.size == 0:
         raise ConfigError(f"{key} has no sample points")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"{key} has a non-finite sample point")
     return pts
 
 
@@ -318,8 +320,8 @@ def build_grids(cfg, key):
 
 
 def build_side(cfg, suffix=""):
-    """(domain, basis, orthonormal, prefilter basis size) of one side, each
-    built once from domain<suffix>, quadrature<suffix> and basis<suffix>;
+    """(domain, orthonormal, prefilter basis size) of one side, each built
+    once from domain<suffix>, quadrature<suffix> and basis<suffix>;
     orthonormal(weight) orthonormalizes the basis once per weight object."""
     domain = build_domain(cfg, "domain" + suffix)
     rule = build_rule(cfg, domain, "quadrature" + suffix)
@@ -329,19 +331,19 @@ def build_side(cfg, suffix=""):
     if not drop_tol > 0:
         raise ConfigError(f"'drop_tol' must be positive, got {drop_tol!r}")
     orthonormal = functools.cache(lambda weight: orthonormalize(basis, rule, weight, drop_tol))
-    return domain, basis, orthonormal, n_prefilter
+    return domain, orthonormal, n_prefilter
 
 
 def build_sides(cfg):
     """(d1, orthonormal1, d2, orthonormal2); side 2 is side 1 when its
     domain, quadrature and basis blocks have side 1's JSON text, in which
     1, 1.0 and true differ, so reuse never skips a side-2 config error."""
-    d1, _, orthonormal1, _ = build_side(cfg)
+    d1, orthonormal1, _ = build_side(cfg)
     if all(json.dumps(cfg_get(cfg, k, None), sort_keys=True, default=str)
            == json.dumps(cfg_get(cfg, k + "2", None), sort_keys=True, default=str)
            for k in ("domain", "quadrature", "basis")):
         return d1, orthonormal1, d1, orthonormal1
-    d2, _, orthonormal2, _ = build_side(cfg, "2")
+    d2, orthonormal2, _ = build_side(cfg, "2")
     return d1, orthonormal1, d2, orthonormal2
 
 
@@ -630,7 +632,6 @@ def _run_checks(tols, ev, zs, run):
             res = float(np.max(np.abs(np.sum(p[:, None] * p.conj(), axis=-1) - s[own, own].T)))
         elif name == "dirichlet_pairing":
             res = abs(s[-1, m] - 2.0 * (zeta - c0))
-            res = max(res, abs(ev.kernel_primitive(zeta, zeta)))
         ok = res <= tol
         all_ok = all_ok and ok
         run.add(**{f"check_{name}": float(res), f"check_{name}_ok": ok})
@@ -645,13 +646,8 @@ def run_kernel(cfg, run: RunDir):
     csv = cfg_get(cfg, "output.csv", True, bool)
     zs, ws = build_grids(cfg, "grid")
     ozs, ows = build_grids(cfg, "oracle.grid") if cfg_get(cfg, "oracle.grid", None) else (zs, ws)
-    domain, basis, orthonormal, n_raw = build_side(cfg)
+    domain, orthonormal, n_raw = build_side(cfg)
     oracle = build_oracle(cfg, domain)
-    if "dirichlet_pairing" in tols and any(e.power == -1 for e in basis.elements):
-        raise ConfigError("checks.dirichlet_pairing reads the kernel primitive, and the "
-                          "basis holds (z - c)^-1, whose primitive is a logarithm: keep "
-                          "-1 out of basis.n_min..basis.n_max, or set basis.reduced: true "
-                          "when c is the annulus centre")
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
             gram_condition=ev.onb.gram_condition)
@@ -750,7 +746,7 @@ def run_recover(cfg, run: RunDir):
     fallback = cfg_get(cfg, "recover.fallback", 0.1 + 0j, complex)
     csv = cfg_get(cfg, "output.csv", True, bool)
     zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0, int))
-    d1, _, orthonormal, _ = build_side(cfg)
+    d1, orthonormal, _ = build_side(cfg)
     d2 = build_domain(cfg, "domain2")
     _require_unit_disc(d2, "recover")
     f = build_map(cfg, d1, d2)

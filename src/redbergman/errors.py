@@ -21,11 +21,6 @@ class DegenerateBasisError(RedBergmanError):
     """Orthonormalization dropped every raw element."""
 
 
-class PrimitiveUnavailableError(RedBergmanError):
-    """A basis element without a single-valued primitive reached a
-    primitive-only code path."""
-
-
 class NumericalFailureError(RedBergmanError):
     """A root solve or factorization failed to converge."""
 

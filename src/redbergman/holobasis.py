@@ -2,8 +2,8 @@
 reduced-space filter.
 
 A raw basis is an ordered family of powers (z - c)^n, n possibly
-negative (Laurent); its values, derivatives and primitives are power
-columns built by cumulative products.  The reduced subspace keeps
+negative (Laurent); its values and derivatives are power columns built
+by cumulative products.  The reduced subspace keeps
 exactly the elements admitting a single-valued primitive, which on a
 planar domain means all periods around holes vanish.  Periods of power
 elements are known from residue calculus: the only nonzero case is
@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PrimitiveUnavailableError
 from .geometry import Annulus, Disc, GenericDomain, PlanarDomain, require_finite
 from .propermaps import PowerMap
 
@@ -125,18 +124,6 @@ class RawBasis:
         out *= coeffs
         return out
 
-    def primitive_values(self, pts, used) -> np.ndarray:
-        """(npts, n_elements) matrix of primitives (z - c)^(n + 1)/(n + 1).
-        Power -1 has none (its primitive is a logarithm): its column is
-        zero, and it must not be marked in the element mask ``used``."""
-        for flag, e in zip(used, self.elements):
-            if flag and e.power == -1:
-                raise PrimitiveUnavailableError(f"{e!r} contributes to the basis but has "
-                                                "no primitive; apply reduced_filter first")
-        out = _power_columns(pts, [(e.power + 1, e.center) for e in self.elements])
-        out /= [e.power + 1 or np.inf for e in self.elements]
-        return out
-
 
 def _power_columns(pts, terms) -> np.ndarray:
     """(npts, len(terms)) matrix whose column k is (z - c)^n for
@@ -191,9 +178,10 @@ def laurent_basis(center, n_min: int, n_max: int,
     """Laurent monomials (z-c)^n for n_min <= n <= n_max.
 
     Intended for an annulus centered at ``center``; the period of the
-    n = -1 element around the hole is exactly 1 there.  On a disc the
-    center must lie outside the closure (otherwise the element is not
-    holomorphic on the domain).  Generic domains are refused: their
+    n = -1 element around the hole is exactly 1 there.  With a negative
+    power the center must lie off the closed domain, in an annulus's hole
+    or outside it (otherwise the element has a pole in the domain).
+    Generic domains are refused: their
     bases are restricted to entire elements so the reduced filter stays
     trivially correct.
     """
@@ -205,6 +193,10 @@ def laurent_basis(center, n_min: int, n_max: int,
         raise ValueError("Laurent elements on generic domains are not supported")
     if isinstance(domain, Disc) and n_min < 0 and abs(c - domain.center) <= domain.radius:
         raise ValueError("Laurent center inside a disc domain is not holomorphic there")
+    if (isinstance(domain, Annulus) and n_min < 0
+            and domain.r_inner <= abs(c - domain.center) <= domain.r_outer):
+        raise ValueError("Laurent center in the closed body of an annulus is not "
+                         "holomorphic there")
     elems = tuple(
         BasisElement(n, c, _element_periods(n, c, domain)) for n in range(n_min, n_max + 1)
     )

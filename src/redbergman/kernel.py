@@ -6,9 +6,7 @@ conj(phi_k(w)).  Orthonormal coefficients come from a left-looking
 pivoted Cholesky factorization of the discrete Gram matrix, and the
 orthonormal system keeps its rule and weight for the evaluator.  Kernel
 values are the order-0 case of the analytic derivatives in the
-conjugated slot (no finite differences), and primitives of the
-orthonormal elements give the kernel primitive whose Dirichlet pairing
-evaluates derivatives.
+conjugated slot (no finite differences).
 
 The weight at the nodes has one definition, ``node_nu``, which each
 orthonormal system evaluates once, on first read, for its node sums (in
@@ -284,11 +282,6 @@ class OrthonormalBasis:
     def phi_deriv_values(self, pts, order: int) -> np.ndarray:
         return self._combine(self.raw.deriv_values(pts, order))
 
-    def phi_primitive_values(self, pts) -> np.ndarray:
-        """Primitives of the orthonormal elements, see RawBasis.primitive_values."""
-        used = np.any(self.coeffs != 0, axis=0)
-        return self._combine(self.raw.primitive_values(pts, used))
-
     @functools.cached_property
     def node_nu(self) -> np.ndarray:
         """nu at the rule's nodes (``node_nu``), evaluated on first read
@@ -397,12 +390,3 @@ class KernelEvaluator:
         pz = self.onb.phi_values(np.atleast_1d(np.asarray(zs, dtype=complex)))
         pw = self.onb.phi_deriv_values(np.atleast_1d(np.asarray(ws, dtype=complex)), beta)
         return pz @ pw.conj().T
-
-    def kernel_primitive(self, xi, z) -> complex:
-        """Kernel primitive M(z, xi) with M(xi, xi) = 0, so that
-        dM/dz = K(z, xi).  Requires every contributing basis element to
-        have a power-form primitive (use a reduced basis)."""
-        pts = np.asarray([z, xi], dtype=complex)
-        prim = self.onb.phi_primitive_values(pts)
-        phi_xi = self.onb.phi_values(np.asarray(xi, dtype=complex))
-        return complex((prim[0] - prim[1]) @ phi_xi.conj())

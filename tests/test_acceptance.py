@@ -210,7 +210,6 @@ def test_criterion_9_structural_invariants():
     selfrep = max(res[i, 4 + i] for i in range(4))
 
     pairing_err = abs(s[14, 13] - 2.0 * xi)
-    pairing_err = max(pairing_err, abs(ev.kernel_primitive(xi, xi)))
 
     elapsed = time.perf_counter() - MODULE_T0
     report("criterion 9 (structural invariants)",

@@ -563,9 +563,9 @@ def multi_block_ellipse_checks(n_grid=128):
     )
     cfg["basis"]["degree"] = 40
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
-    _, basis, orthonormal, _ = cli.build_side(cfg)
+    _, orthonormal, n_raw = cli.build_side(cfg)
     ev = cli.KernelEvaluator(orthonormal(cli.build_weight(cfg)))
-    return cfg, ev, cli.build_grid(cfg, "grid.z"), len(basis)
+    return cfg, ev, cli.build_grid(cfg, "grid.z"), n_raw
 
 
 def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
@@ -758,6 +758,8 @@ def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys,
     ("kernel", ANNULUS_CFG, "basis.n_min=a", "basis.n_min"),
     ("kernel", ANNULUS_CFG, "basis.n_max=[6]", "basis.n_max"),
     ("kernel", ANNULUS_CFG, "basis.n_min=7", "basis"),
+    # (z - 0.75i)^-6 has a pole in the annulus
+    ("kernel", ANNULUS_CFG, "basis.center=[0.0, 0.75]", "basis: Laurent center in the closed"),
     ("adjoint", preset_text("adjoint_disc"), "adjoint.n_elements=x", "adjoint.n_elements"),
     ("kernel", DISC_KERNEL_CFG, "checks.conjugate_symmetry=abc", "checks.conjugate_symmetry"),
     ("kernel", DISC_KERNEL_CFG, "drop_tol=x", "drop_tol"),
@@ -787,9 +789,9 @@ def test_malformed_grids_and_generic_domains_are_config_errors(tmp_path, capsys,
     ("verify", preset_text("proper_square_disc"), "basis2.reduced=1", "'basis2.reduced'"),
     ("verify", preset_text("proper_square_disc"), "quadrature2.n_radial=40.0",
      "'quadrature2.n_radial'"),
-], ids=["n_min-text", "n_max-list", "n_min-above-n_max", "n_elements-text",
-        "check-tolerance-text", "drop_tol-text", "drop_tol-zero", "tolerance-text",
-        "tolerance-nan", "check-tolerance-nan-text",
+], ids=["n_min-text", "n_max-list", "n_min-above-n_max", "laurent-centre-in-body",
+        "n_elements-text", "check-tolerance-text", "drop_tol-text", "drop_tol-zero",
+        "tolerance-text", "tolerance-nan", "check-tolerance-nan-text",
         "weight-alpha-list", "weight-value-list", "radial-coeffs-scalar",
         "radial-coeffs-entry-text", "oracle-alpha-text", "degree-bool", "grid-n-bool",
         "map-m-float", "radius-text", "csv-string", "reduced-int", "constant-correspondence",
@@ -866,34 +868,31 @@ def test_checks_are_config_errors_before_the_numerics(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("basis", [
+    "{type: laurent, center: [0.0, 0.0], n_min: -6, n_max: 6, reduced: true}",
     "{type: laurent, center: [0.0, 0.0], n_min: -6, n_max: 6, reduced: false}",
     # (z - 2)^-1 has no period around the hole, so the reduced filter keeps it
     "{type: laurent, center: [2.0, 0.0], n_min: -3, n_max: 6, reduced: true}",
-], ids=["full-basis", "centre-outside"])
-def test_dirichlet_pairing_on_an_inverse_power_is_a_config_error(tmp_path, capsys,
-                                                                  monkeypatch, basis):
-    from redbergman import cli
-
-    calls = []
-    real = cli.orthonormalize
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cli, "orthonormalize", counting)
+], ids=["reduced-basis", "full-basis", "centre-outside"])
+def test_dirichlet_pairing_on_an_inverse_power_passes(tmp_path, basis):
+    # the pairing is the reproducing integral of 2 (z - c0), which reads only the kernel
     cfg = write_cfg(tmp_path, ANNULUS_CFG + "checks: {dirichlet_pairing: 1.0e-5}\n")
-    # the reduced annulus pairs, and a non-reduced basis passes the other checks
-    assert run_cli(tmp_path, "kernel", cfg, "--set", "oracle=null") == 0
-    assert run_cli(tmp_path, "kernel", cfg, "--set", f"basis={basis}", "--set", "oracle=null",
-                   "--set", "checks={self_reproduction: 1.0e-8}") == 0
-    assert len(calls) == 2
-    calls.clear()
     assert run_cli(tmp_path, "kernel", cfg, "--set", f"basis={basis}",
-                   "--set", "oracle=null") == 2
+                   "--set", "oracle=null") == 0
+    rd = only_run_dir(tmp_path, "kernel-")
+    fields = dict(line.split(" = ") for line in (rd / "summary.txt").read_text().splitlines())
+    assert fields["check_dirichlet_pairing_ok"] == "True"
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("kernel", "disc_kernel_oracle"),
+    ("verify", "corr_sqrt_disc"),
+    ("verify", "proper_square_disc"),
+])
+def test_a_non_finite_grid_point_is_a_config_error(tmp_path, capsys, command, preset):
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, preset_text(preset)),
+                   "--set", "grid.z={kind: points, values: [[.inf, 0.0]]}") == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "dirichlet_pairing" in err and "basis.reduced" in err
-    assert calls == []
+    assert "config error" in err and "grid.z" in err
 
 
 def test_adjoint_lambda_residual_is_in_the_weighted_inner_product(tmp_path):

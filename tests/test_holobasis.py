@@ -113,6 +113,19 @@ def test_laurent_center_inside_disc_rejected():
         laurent_basis(0.0, -2, 2, DISC)
 
 
+@pytest.mark.parametrize("centre, refused", [
+    (0.75j, True), (0.5, True), (-1.0j, True), (0.2 + 0.1j, False), (1.5, False),
+], ids=["body", "inner-circle", "outer-circle", "hole", "outside"])
+def test_laurent_center_in_an_annulus_body_rejected(centre, refused):
+    if refused:
+        with pytest.raises(ValueError, match="closed body"):
+            laurent_basis(centre, -1, 2, ANN)
+    else:
+        assert len(laurent_basis(centre, -1, 2, ANN)) == 4
+    # without a negative power every centre is holomorphic
+    assert len(laurent_basis(centre, 0, 2, ANN)) == 3
+
+
 def test_laurent_on_generic_rejected():
     dom = GenericDomain(inside=lambda z: abs(z) < 1, bbox=(-1, 1, -1, 1), holes=())
     with pytest.raises(ValueError):
@@ -237,14 +250,6 @@ def test_values_match_per_element_powers(basis, pts):
     want = stacked_values(basis, pts)
     assert got.shape == want.shape == np.shape(pts) + (len(basis),)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-    # primitives (z - c)^(n + 1)/(n + 1); power -1 has none and is not used
-    has = np.array([e.power != -1 for e in basis.elements])
-    got = basis.primitive_values(pts, has)
-    want = np.stack([(np.asarray(pts, dtype=complex) - e.center) ** (e.power + 1)
-                     / (e.power + 1) for e in basis.elements if e.power != -1], axis=-1)
-    assert got.shape == np.shape(pts) + (len(basis),)
-    assert np.all(got[..., ~has] == 0)
-    assert np.all(np.abs(got[..., has] - want) <= 1e-13 * np.abs(want))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -1,4 +1,4 @@
-"""Gram assembly, orthonormalization, kernel evaluation, kernel-primitive checks.
+"""Gram assembly, orthonormalization, kernel evaluation, reproducing-integral checks.
 
 Expected values come from analytic norm integrals:
     disc:     ||z^n||^2 = pi/(n+1),  with weight |z|^2: pi/(n+2)
@@ -46,7 +46,7 @@ from redbergman import (
     reduced_filter,
 )
 from redbergman import cli, kernel
-from redbergman.errors import DegenerateBasisError, EvaluationError, PrimitiveUnavailableError
+from redbergman.errors import DegenerateBasisError, EvaluationError
 from redbergman.holobasis import BasisElement, RawBasis
 from redbergman.oracles import (
     annulus_kernel,
@@ -321,11 +321,9 @@ def test_diagonal_evaluation_matches_the_dense_product(degree, drop):
     onb = orthonormalize(monomial_basis(0.0, degree, rule.domain), rule, PowerWeight(1.0))
     assert (np.count_nonzero(onb.coeffs) > len(onb.coeffs)) == drop
     pts = np.array([0.3, -0.2 + 0.4j, 0.5j, -0.45 - 0.1j, 0.1 + 0.05j, 0.0])
-    used = np.any(onb.coeffs != 0, axis=0)
     for got, vals in [(onb.phi_values(pts), onb.raw.values(pts)),
                       (onb.phi_values(pts, 4), onb.raw.values(pts)),
-                      (onb.phi_deriv_values(pts, 2), onb.raw.deriv_values(pts, 2)),
-                      (onb.phi_primitive_values(pts), onb.raw.primitive_values(pts, used))]:
+                      (onb.phi_deriv_values(pts, 2), onb.raw.deriv_values(pts, 2))]:
         want = vals @ onb.coeffs[:got.shape[1]].T
         assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
@@ -736,32 +734,12 @@ def test_truncation_monotonicity_on_diagonal():
         prev = val
 
 
-def test_kernel_primitive_checks():
+def test_reproduce_gives_the_dirichlet_pairing():
     ev = disc_evaluator(degree=20, n_radial=30, n_angular=80)
     xi = 0.3
-    assert ev.kernel_primitive(xi, xi) == 0.0
-    # dM/dz recovers the kernel (finite differences in z)
-    h = 1e-5
-    for z in (0.5, -0.2 + 0.4j):
-        fd = (ev.kernel_primitive(xi, z + h) - ev.kernel_primitive(xi, z - h)) / (2 * h)
-        assert abs(fd - ev.eval_kernel(z, xi)) / abs(ev.eval_kernel(z, xi)) < 1e-6
     # Dirichlet pairing <f, M(., xi)> = int f' conj(K(., xi)) dA = f'(xi) for f = z^2
     pairing = reproduce(ev, xi, fns=[lambda z: 2.0 * z])[0]
     assert pairing == pytest.approx(2.0 * xi, abs=1e-5)
-
-
-def test_kernel_primitive_requires_reduced_basis():
-    ev = annulus_evaluator(reduced=False)
-    with pytest.raises(PrimitiveUnavailableError):
-        ev.kernel_primitive(0.7, 0.6)
-
-
-def test_kernel_primitive_on_reduced_annulus():
-    ev = annulus_evaluator()
-    xi, z = 0.75, 0.6 + 0.3j
-    h = 1e-5
-    fd = (ev.kernel_primitive(xi, z + h) - ev.kernel_primitive(xi, z - h)) / (2 * h)
-    assert abs(fd - ev.eval_kernel(z, xi)) / abs(ev.eval_kernel(z, xi)) < 1e-6
 
 
 def test_generic_domain_kernel_invariants():
