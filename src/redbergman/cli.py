@@ -195,14 +195,14 @@ def _generic_domain(cfg, key):
         ineqs.append(c if entry["sign"] == "<" else -c)
 
     def inside(z):
-        z = np.asarray(z)
         ok = np.ones(z.shape, dtype=bool)
         for c in ineqs:
             ok &= np.polynomial.polynomial.polyval2d(z.real, z.imag, c) < 0
-        return ok if z.shape else bool(ok)
+        return ok
 
-    holes = tuple(cfg_list(cfg, f"{key}.holes", complex, []))
-    return GenericDomain(inside=inside, bbox=tuple(bbox), holes=holes)
+    if cfg_list(cfg, f"{key}.holes", None, []):
+        raise ConfigError(f"'{key}.holes': generic domains with holes wait for ROADMAP item 2")
+    return GenericDomain(inside=inside, bbox=tuple(bbox))
 
 
 def build_rule(cfg, domain, qkey):
@@ -313,10 +313,19 @@ def build_grid(cfg, key, seed=0):
     return pts
 
 
-def build_grids(cfg, key):
-    """The z and w sample grids under ``key``, both drawn from the config's seed."""
+def _require_inside(pts, domain, key):
+    """Grid ``key``'s points ``pts``, refused if one lies outside ``domain``."""
+    outside = pts[~domain.contains(pts)]
+    if outside.size:
+        raise ConfigError(f"{key} has a sample point outside its domain: {outside[0]}")
+    return pts
+
+
+def build_grids(cfg, key, d1, d2):
+    """The z and w grids under ``key``, drawn from the config's seed, in d1 and d2."""
     seed = cfg_get(cfg, "seed", 0, int)
-    return build_grid(cfg, f"{key}.z", seed), build_grid(cfg, f"{key}.w", seed)
+    return (_require_inside(build_grid(cfg, f"{key}.z", seed), d1, f"{key}.z"),
+            _require_inside(build_grid(cfg, f"{key}.w", seed), d2, f"{key}.w"))
 
 
 def build_side(cfg, suffix=""):
@@ -644,9 +653,10 @@ def _run_checks(tols, ev, zs, run):
 def run_kernel(cfg, run: RunDir):
     tols = build_checks(cfg)
     csv = cfg_get(cfg, "output.csv", True, bool)
-    zs, ws = build_grids(cfg, "grid")
-    ozs, ows = build_grids(cfg, "oracle.grid") if cfg_get(cfg, "oracle.grid", None) else (zs, ws)
     domain, orthonormal, n_raw = build_side(cfg)
+    zs, ws = build_grids(cfg, "grid", domain, domain)
+    ozs, ows = (build_grids(cfg, "oracle.grid", domain, domain)
+                if cfg_get(cfg, "oracle.grid", None) else (zs, ws))
     oracle = build_oracle(cfg, domain)
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
@@ -678,8 +688,8 @@ def run_verify(cfg, run: RunDir):
         raise ConfigError("weighted verification is defined for maps only")
 
     csv = cfg_get(cfg, "output.csv", True, bool)
-    zs, ws = build_grids(cfg, "grid")
     d1, orthonormal1, d2, orthonormal2 = build_sides(cfg)
+    zs, ws = build_grids(cfg, "grid", d1, d2)
     model = build_map(cfg, d1, d2) if has_map else build_correspondence(cfg, d1, d2)
     # a proper map is swept as its graph correspondence
     report = verify_correspondence(model, orthonormal1(pullback_weight(weight, model)),
@@ -745,8 +755,8 @@ def run_recover(cfg, run: RunDir):
     probe = cfg_get(cfg, "recover.probe", 0j, complex)
     fallback = cfg_get(cfg, "recover.fallback", 0.1 + 0j, complex)
     csv = cfg_get(cfg, "output.csv", True, bool)
-    zs = build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0, int))
     d1, orthonormal, _ = build_side(cfg)
+    zs = _require_inside(build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0, int)), d1, "grid.z")
     d2 = build_domain(cfg, "domain2")
     _require_unit_disc(d2, "recover")
     f = build_map(cfg, d1, d2)

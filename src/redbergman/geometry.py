@@ -1,8 +1,9 @@
 """Bounded planar domains and area-measure quadrature rules.
 
 Domains are open subsets of the complex plane: discs, annuli, or generic
-regions given by a membership predicate over a bounding box.  Quadrature
-rules approximate integrals against area Lebesgue measure.
+simply connected regions given by a vectorized membership predicate over
+a finite bounding box.  Quadrature rules approximate integrals against
+area Lebesgue measure.
 
 Disc and annulus rules are tensor products in polar coordinates:
 Gauss-Legendre in radius (polar Jacobian r folded into the weights;
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -63,10 +64,6 @@ class Disc:
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"disc radius must be positive, got {self.radius}")
 
-    @property
-    def holes(self) -> tuple:
-        return ()
-
     def area(self) -> float:
         return math.pi * self.radius**2
 
@@ -92,11 +89,6 @@ class Annulus:
                 f"got ({self.r_inner}, {self.r_outer})"
             )
 
-    @property
-    def holes(self) -> tuple:
-        # one bounded complementary component, marked by the center
-        return (self.center,)
-
     def area(self) -> float:
         return math.pi * (self.r_outer**2 - self.r_inner**2)
 
@@ -107,44 +99,26 @@ class Annulus:
 
 @dataclass(frozen=True)
 class GenericDomain:
-    """Predicate-defined bounded region.
+    """Predicate-defined bounded, simply connected region.
 
-    ``inside`` is a membership predicate; it may be scalar-only or
-    vectorized over numpy arrays (the scalar fallback is used when the
-    array call fails).  ``bbox`` is (xmin, xmax, ymin, ymax) and must
-    contain every point where ``inside`` holds.  ``holes`` carries one
-    marker point per bounded complementary component; markers are
-    supplied by the caller, no topology detection is attempted.
+    ``inside`` is a membership predicate vectorized over numpy arrays of
+    points; it may return one bool for all of them.  ``bbox`` is (xmin,
+    xmax, ymin, ymax), finite, and must contain every point where
+    ``inside`` holds.
     """
 
     inside: Callable
     bbox: tuple
-    holes: tuple = field(default=())
 
     def __post_init__(self):
         xmin, xmax, ymin, ymax = self.bbox
-        if not (xmin < xmax and ymin < ymax):
-            raise ValueError(f"degenerate bbox {self.bbox}")
-        for h in self.holes:
-            require_finite(h)
-            h = complex(h)
-            if self.inside(h):
-                raise ValueError(f"hole marker {h} lies inside the domain")
-            if not (xmin <= h.real <= xmax and ymin <= h.imag <= ymax):
-                raise ValueError(f"hole marker {h} lies outside the bbox")
+        if not (all(map(math.isfinite, self.bbox)) and xmin < xmax and ymin < ymax):
+            raise ValueError(f"bbox must be finite and non-degenerate, got {self.bbox}")
 
     def contains(self, z, margin: float = 0.0):
         # margin is ignored: a predicate carries no distance information
         z = np.asarray(z)
-        if z.ndim == 0:
-            return bool(self.inside(complex(z)))
-        try:
-            out = np.asarray(self.inside(z), dtype=bool)
-            if out.shape == z.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([bool(self.inside(complex(p))) for p in z.ravel()]).reshape(z.shape)
+        return np.broadcast_to(np.asarray(self.inside(z), dtype=bool), z.shape)
 
 
 PlanarDomain = Union[Disc, Annulus, GenericDomain]
@@ -272,6 +246,8 @@ def disc_grid(radius, n: int, center=0.0) -> np.ndarray:
 
 def annulus_grid(r_min, r_max, n_radial: int, n_angular: int, center=0.0) -> np.ndarray:
     """Polar sample grid with radii in [r_min, r_max]."""
+    if r_min > r_max:
+        raise ValueError(f"need r_min <= r_max, got ({r_min}, {r_max})")
     radii = np.linspace(r_min, r_max, n_radial)
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     return (center + radii[:, None] * np.exp(1j * theta)[None, :]).ravel()

@@ -3,11 +3,10 @@ reduced-space filter.
 
 A raw basis is an ordered family of powers (z - c)^n, n possibly
 negative (Laurent); its values and derivatives are power columns built
-by cumulative products.  The reduced subspace keeps
-exactly the elements admitting a single-valued primitive, which on a
-planar domain means all periods around holes vanish.  Periods of power
-elements are known from residue calculus: the only nonzero case is
-n = -1 around a hole whose bounded component contains the center.
+by cumulative products.  The reduced subspace keeps exactly the
+elements admitting a single-valued primitive.  By residue calculus the
+only power (z - c)^n without one is n = -1 with c in a hole of the
+domain, and of the domains here only an annulus has a hole.
 """
 
 from __future__ import annotations
@@ -37,47 +36,19 @@ __all__ = [
     "pullback_weight",
 ]
 
-PERIOD_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BasisElement:
-    """The power (z - center)^n with its hole periods.
-
-    ``periods`` holds, per hole of the associated domain, the value of
-    the contour integral of the element around that hole divided by
-    2*pi*i.  All-zero periods are exactly the single-valued-primitive
-    condition.
-    """
+    """The power (z - center)^n."""
 
     power: int
     center: complex
-    periods: tuple = ()
 
     def eval(self, z):
         return (np.asarray(z, dtype=complex) - self.center) ** self.power
 
     def __repr__(self):
         return f"BasisElement((z - {self.center})^{self.power})"
-
-
-def _element_periods(power: int, center: complex, domain: Optional[PlanarDomain]):
-    """Analytic periods of (z-c)^power around each hole of the domain.
-
-    Nonzero only for power = -1 with the center inside the hole's
-    bounded component.  Without a domain, the single-hole annulus
-    convention applies (the intended use of Laurent families).
-    """
-    if domain is None:
-        return (1.0 + 0.0j,) if power == -1 else (0.0 + 0.0j,)
-    if isinstance(domain, Disc):
-        return ()
-    if isinstance(domain, Annulus):
-        if power == -1 and abs(center - domain.center) <= domain.r_inner:
-            return (1.0 + 0.0j,)
-        return (0.0 + 0.0j,)
-    # generic domains: only entire elements are supported, see laurent_basis
-    return tuple(0.0 + 0.0j for _ in domain.holes)
 
 
 @dataclass(frozen=True)
@@ -162,15 +133,12 @@ def _power_rows(pts, terms, out=None):
 
 
 def monomial_basis(center, degree: int, domain: Optional[PlanarDomain] = None) -> RawBasis:
-    """Monomials (z-c)^0 .. (z-c)^degree; all periods vanish."""
+    """Monomials (z-c)^0 .. (z-c)^degree, each with a single-valued primitive."""
     require_finite(center)
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     c = complex(center)
-    holes = domain.holes if domain is not None else ()
-    periods = tuple(0.0 + 0.0j for _ in holes)
-    elems = tuple(BasisElement(n, c, periods) for n in range(degree + 1))
-    return RawBasis(elems, domain)
+    return RawBasis(tuple(BasisElement(n, c) for n in range(degree + 1)), domain)
 
 
 def laurent_basis(center, n_min: int, n_max: int,
@@ -197,20 +165,18 @@ def laurent_basis(center, n_min: int, n_max: int,
             and domain.r_inner <= abs(c - domain.center) <= domain.r_outer):
         raise ValueError("Laurent center in the closed body of an annulus is not "
                          "holomorphic there")
-    elems = tuple(
-        BasisElement(n, c, _element_periods(n, c, domain)) for n in range(n_min, n_max + 1)
-    )
-    return RawBasis(elems, domain)
+    return RawBasis(tuple(BasisElement(n, c) for n in range(n_min, n_max + 1)), domain)
 
 
 def reduced_filter(basis: RawBasis) -> RawBasis:
-    """Sub-basis of elements whose periods all vanish (within 1e-12),
-    i.e. the elements with a single-valued primitive.  Order preserved."""
-    kept = tuple(
-        e for e in basis.elements
-        if all(abs(p) <= PERIOD_TOL for p in e.periods)
-    )
-    return RawBasis(kept, basis.domain)
+    """Sub-basis of the elements with a single-valued primitive: all but
+    (z - c)^-1 with c in an annulus domain's hole, the one power with a
+    nonzero period (laurent_basis admits no other pole that a hole could
+    enclose).  Order preserved."""
+    dom = basis.domain
+    kept = tuple(e for e in basis.elements if not (e.power == -1 and isinstance(dom, Annulus)
+                                                    and abs(e.center - dom.center) < dom.r_inner))
+    return RawBasis(kept, dom)
 
 
 def numerical_period(element: BasisElement, circle_center, circle_radius,

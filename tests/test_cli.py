@@ -265,9 +265,11 @@ def test_numerical_failure_exit_code_and_summary(tmp_path):
 @pytest.mark.parametrize("radius, degree, norm", [(0.02, 120, "0.0"), (100, 100, "inf")],
                          ids=["underflow", "overflow"])
 def test_gram_norm_out_of_range_is_a_numerical_failure(tmp_path, radius, degree, norm):
-    # z^n on a tiny disc underflows to a zero norm, on a huge one it overflows
+    # z^n on a tiny disc underflows to a zero norm, on a huge one it overflows;
+    # the preset's grids are scaled with the disc, so they stay inside it
     cfg = write_cfg(tmp_path, preset_text("disc_kernel_oracle"))
     assert run_cli(tmp_path, "kernel", cfg, "--set", f"domain.radius={radius}",
+                   "--set", f"grid.z.rmax={0.7 * radius}", "--set", f"grid.w.rmax={0.7 * radius}",
                    "--set", f"basis.degree={degree}", "--set", "oracle=null") == 3
     summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
     assert "status = error" in summary
@@ -893,6 +895,63 @@ def test_a_non_finite_grid_point_is_a_config_error(tmp_path, capsys, command, pr
                    "--set", "grid.z={kind: points, values: [[.inf, 0.0]]}") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "grid.z" in err
+
+
+POLAR_0_9_TO_0_6 = "{kind: polar, r_min: 0.9, r_max: 0.6, n_radial: 3, n_angular: 4}"
+
+
+@pytest.mark.parametrize("command, preset, override, message", [
+    ("kernel", "disc_kernel_oracle", "grid.z={kind: points, values: [[5.0, 0.0]]}",
+     "grid.z has a sample point outside its domain: (5+0j)"),
+    ("kernel", "disc_kernel_oracle", "oracle.grid.w={kind: cartesian, rmax: 1.2, n: 5}",
+     "oracle.grid.w has a sample point outside its domain"),
+    # side 1 is the annulus 0.707 < |z| < 1, side 2 the annulus 0.5 < |w| < 1
+    ("verify", "proper_square_annulus", "grid.z={kind: points, values: [[0.6, 0.0]]}",
+     "grid.z has a sample point outside its domain"),
+    ("verify", "proper_square_annulus", "grid.w={kind: points, values: [[0.3, 0.0]]}",
+     "grid.w has a sample point outside its domain"),
+    ("recover", "recover_blaschke", "grid.z={kind: cartesian, rmax: 1.2, n: 5}",
+     "grid.z has a sample point outside its domain"),
+    ("kernel", "annulus_reduced_oracle", f"grid.z={POLAR_0_9_TO_0_6}",
+     "grid.z: need r_min <= r_max, got (0.9, 0.6)"),
+], ids=["kernel", "kernel-oracle", "verify-z", "verify-w", "recover", "reversed-polar"])
+def test_a_grid_point_outside_its_domain_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           command, preset, override, message):
+    from redbergman import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "orthonormalize", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, preset_text(preset)),
+                   "--set", override) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert calls == []
+    assert os.listdir(out) == []
+
+
+def test_verify_takes_each_grid_in_its_own_domain(tmp_path):
+    # |w| = 0.6 lies in side 2's annulus and outside side 1's
+    cfg = write_cfg(tmp_path, preset_text("proper_square_annulus"))
+    assert run_cli(tmp_path, "verify", cfg,
+                   "--set", "grid.w={kind: points, values: [[0.6, 0.0], [0.0, 0.6]]}") == 0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("holes", [[0.0, 0.0]], "'domain.holes': generic domains with holes wait for ROADMAP item 2"),
+    ("bbox", [-np.inf, 1.0, -0.71, 0.71], "domain: bbox must be finite and non-degenerate"),
+], ids=["holes", "non-finite-bbox"])
+def test_generic_holes_and_non_finite_bboxes_are_config_errors(tmp_path, capsys, field, value,
+                                                               message):
+    command, cfg = generic_ellipse_config()
+    cfg["domain"][field] = value
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, yaml.safe_dump(cfg))) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert os.listdir(out) == []
 
 
 def test_adjoint_lambda_residual_is_in_the_weighted_inner_product(tmp_path):

@@ -158,17 +158,38 @@ def test_domain_invariants():
     with pytest.raises(ValueError):
         Annulus(0.0, 0.7, 0.7)
     ann = Annulus(0.0, 0.5, 1.0)
-    assert ann.holes == (0.0,)
     assert not ann.contains(0.0)
     assert ann.contains(0.75)
-    assert Disc(0.0, 1.0).holes == ()
+    assert Disc(0.0, 1.0).contains(0.75)
 
 
-def test_generic_hole_markers_validated():
-    ring = lambda z: 0.5 < abs(z) < 1.0
-    ok = GenericDomain(inside=ring, bbox=(-1, 1, -1, 1), holes=(0.0,))
-    assert ok.holes == (0.0,)
-    with pytest.raises(ValueError):
-        GenericDomain(inside=ring, bbox=(-1, 1, -1, 1), holes=(0.75,))   # inside
-    with pytest.raises(ValueError):
-        GenericDomain(inside=ring, bbox=(-1, 1, -1, 1), holes=(5.0,))    # off bbox
+@pytest.mark.parametrize("bbox", [
+    (-math.inf, 1.0, -0.71, 0.71), (-1.0, math.inf, -0.71, 0.71), (-1.0, 1.0, math.nan, 0.71),
+    (0.0, 0.0, 0.0, 1.0),
+], ids=["-inf", "inf", "nan", "degenerate"])
+def test_generic_bbox_must_be_finite_and_non_degenerate(bbox):
+    with pytest.raises(ValueError, match="bbox must be finite and non-degenerate"):
+        GenericDomain(inside=lambda z: np.abs(z) < 1.0, bbox=bbox)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_constant_predicate_broadcasts(value, shape):
+    dom = GenericDomain(inside=lambda z: value, bbox=(0.0, 1.0, 0.0, 1.0))
+    got = dom.contains(np.full(shape, 0.5 + 0.5j))
+    assert got.shape == shape and got.dtype == bool
+    assert np.all(got == value)
+
+
+def test_scalar_only_predicate_raises_instead_of_looping():
+    calls = []
+
+    def unit_square(z):
+        calls.append(z)
+        return (0 < z.real < 1) and (0 < z.imag < 1)
+
+    dom = GenericDomain(inside=unit_square, bbox=(0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="truth value of an array"):
+        build_generic_quadrature(dom, 10)
+    # one call on every cell centre at once, none point by point
+    assert len(calls) == 1 and np.shape(calls[0]) == (100,)

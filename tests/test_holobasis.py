@@ -1,5 +1,6 @@
 """Basis families, periods, the reduced filter, and weights."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from redbergman import (
     Annulus,
+    BasisElement,
     BlaschkeProduct,
     ConstantWeight,
     Disc,
@@ -34,7 +36,8 @@ ANN = Annulus(0.0, 0.5, 1.0)
 def test_monomial_basis_elements():
     basis = monomial_basis(0.0, 2, DISC)
     assert [e.power for e in basis.elements] == [0, 1, 2]
-    assert all(e.periods == () for e in basis.elements)
+    assert all(e.center == 0.0 for e in basis.elements)
+    assert [f.name for f in dataclasses.fields(BasisElement)] == ["power", "center"]
 
 
 def test_monomial_derivative_value():
@@ -76,17 +79,22 @@ def test_derivative_values_match_extended_precision(order):
 def test_laurent_basis_powers_and_periods():
     basis = laurent_basis(0.0, -2, 1, ANN)
     assert [e.power for e in basis.elements] == [-2, -1, 0, 1]
-    periods = {e.power: e.periods[0] for e in basis.elements}
-    assert periods[-1] == 1.0
-    assert periods[-2] == 0.0
-    assert periods[0] == 0.0
+    periods = {e.power: numerical_period(e, 0.0, 0.75, 256) for e in basis.elements}
+    assert abs(periods[-1] - 1.0) < 1e-10
+    assert abs(periods[-2]) < 1e-10
+    assert abs(periods[0]) < 1e-10
 
 
-def test_numerical_periods_match_stored():
-    basis = laurent_basis(0.0, -3, 3, ANN)
-    for e in basis.elements:
-        num = numerical_period(e, 0.0, 0.75, 256)
-        assert abs(num - e.periods[0]) < 1e-10
+def test_reduced_filter_drops_exactly_the_elements_with_a_period():
+    # the period around the hole is 1 for (z - c)^-1 with c in the hole, else 0
+    for centre, in_hole in ((0.1 + 0.2j, True), (1.5j, False)):
+        basis = laurent_basis(centre, -3, 3, ANN)
+        periods = [numerical_period(e, 0.0, 0.75, 256) for e in basis.elements]
+        for e, p in zip(basis.elements, periods):
+            assert abs(p - (1.0 if in_hole and e.power == -1 else 0.0)) < 1e-10
+        kept = [e for e, p in zip(basis.elements, periods) if abs(p) < 0.5]
+        assert list(reduced_filter(basis).elements) == kept
+        assert len(kept) == (6 if in_hole else 7)
 
 
 def test_reduced_filter_drops_only_residue_term():
@@ -127,7 +135,7 @@ def test_laurent_center_in_an_annulus_body_rejected(centre, refused):
 
 
 def test_laurent_on_generic_rejected():
-    dom = GenericDomain(inside=lambda z: abs(z) < 1, bbox=(-1, 1, -1, 1), holes=())
+    dom = GenericDomain(inside=lambda z: np.abs(z) < 1, bbox=(-1, 1, -1, 1))
     with pytest.raises(ValueError):
         laurent_basis(0.0, -1, 1, dom)
 
@@ -211,7 +219,10 @@ def stacked_derivs(basis, pts, order):
                      * (pts - e.center) ** (e.power - order) for e in basis.elements], axis=-1)
 
 
-# the sample points lie in 0.4 <= |z| <= 0.9, at least 0.29 from every centre
+# the sample points lie in 0.4 <= |z| <= 0.9, inside SAMPLE_ANN and at least
+# 0.29 from every centre; the first two centres lie in its hole, the others
+# outside it, so the reduced filter drops (z - c)^-1 of the first two only
+SAMPLE_ANN = Annulus(0.0, 0.3, 1.0)
 CENTRES = (0.0, 0.1 - 0.05j, 1.6 + 0.4j, -1.2j)
 
 
@@ -219,9 +230,9 @@ CENTRES = (0.0, 0.1 - 0.05j, 1.6 + 0.4j, -1.2j)
 def families(draw, centre):
     kind = draw(st.sampled_from(["monomial", "laurent", "reduced"]))
     if kind == "monomial":
-        return list(monomial_basis(centre, draw(st.integers(0, 25))).elements)
+        return list(monomial_basis(centre, draw(st.integers(0, 25)), SAMPLE_ANN).elements)
     n_min = draw(st.integers(-8, 3))
-    basis = laurent_basis(centre, n_min, draw(st.integers(max(n_min, 0), 25)))
+    basis = laurent_basis(centre, n_min, draw(st.integers(max(n_min, 0), 25)), SAMPLE_ANN)
     return list((reduced_filter(basis) if kind == "reduced" else basis).elements)
 
 
@@ -231,7 +242,7 @@ def bases(draw):
     elements = sum((draw(families(c)) for c in CENTRES[:n_families]), [])
     if draw(st.booleans()):
         elements = draw(st.permutations(elements))
-    return RawBasis(tuple(elements))
+    return RawBasis(tuple(elements), SAMPLE_ANN)
 
 
 @st.composite

@@ -745,8 +745,9 @@ def test_reproduce_gives_the_dirichlet_pairing():
 def test_generic_domain_kernel_invariants():
     # predicate-defined unit square: discrete identities still hold even
     # though the rule is only first-order accurate
-    dom = GenericDomain(inside=lambda z: (0 < z.real < 1) and (0 < z.imag < 1),
-                        bbox=(0.0, 1.0, 0.0, 1.0))
+    dom = GenericDomain(
+        inside=lambda z: (0 < z.real) & (z.real < 1) & (0 < z.imag) & (z.imag < 1),
+        bbox=(0.0, 1.0, 0.0, 1.0))
     rule = build_generic_quadrature(dom, 24)
     onb = orthonormalize(monomial_basis(0.5 + 0.5j, 6, dom), rule, ONE)
     ev = KernelEvaluator(onb)
