@@ -17,9 +17,9 @@ the orthonormal elements, then one product with their values on the
 other grid: 2*nz*nw*n complex multiply-adds, not (p + q)*nz*nw*n.
 
 Sweeps leave out the grid points within GRID_EXCLUSION of the singular
-sets (critical values, discriminant loci) and record the kept sub-grid;
-a query outside those zones whose branches cannot be resolved raises its
-error.  Map recovery differentiates the kernel branch sum exactly in
+sets (for a map, its graph's: the critical values) and record the kept
+sub-grid; a query outside those zones whose branches cannot be resolved
+raises its error.  Map recovery differentiates the kernel branch sum exactly in
 conj(w), from the analytic kernel derivative and the second derivatives
 of the local inverses.
 """
@@ -81,9 +81,9 @@ def branch_table(model, points, forward: bool):
 
     Returns (pts, der) of shape (len(points), k) where k is the branch
     count; the solve is done once so several functions can be summed
-    over the same branches.  For proper maps the forward direction is
-    the single branch (f, f').  Raises the error of the first query
-    whose branches cannot be resolved.
+    over the same branches.  For proper maps, solved as their graphs,
+    the forward direction is the single branch (f, f').  Raises the
+    error of the first query whose branches cannot be resolved.
     """
     points = np.asarray(points, dtype=complex)
     table = model.branches(points, forward)

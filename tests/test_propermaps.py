@@ -1,11 +1,29 @@
 """Maps, correspondences, branch solving, and derivative reciprocity."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import DISC, W2_MINUS_Z, W2_MINUS_Z2, W_MINUS_Z, branches_at, corr_from_terms
-from redbergman import Annulus, BlaschkeProduct, Disc, PolynomialMap, PowerMap, branch_table
-from redbergman.errors import BranchCountError, NearCriticalError, SingularLocusError
+from conftest import (
+    DISC,
+    W2_MINUS_Z,
+    W2_MINUS_Z2,
+    W_MINUS_Z,
+    annulus_evaluator,
+    branches_at,
+    corr_from_terms,
+)
+from redbergman import (
+    Annulus,
+    BlaschkeProduct,
+    Disc,
+    PolynomialMap,
+    PowerMap,
+    branch_table,
+    verify_correspondence,
+)
+from redbergman.errors import BranchCountError, SingularLocusError
 
 
 def test_power_map_values_and_derivative():
@@ -31,7 +49,8 @@ def test_polynomial_derivative_matches_finite_differences():
 
 
 def test_critical_values():
-    assert list(PowerMap(2).v2) == [0.0]
+    # v2 is the graph's polished resultant root, within rounding of f(0) = 0
+    assert PowerMap(2).v2.shape == (1,) and abs(PowerMap(2).v2[0]) < 1e-15
     assert PowerMap(1).v2.size == 0
 
     f = BlaschkeProduct([0.0, 0.5])     # z(z - 0.5)/(1 - 0.5 z)
@@ -84,7 +103,7 @@ def test_local_inverses_blaschke_roundtrip():
 
 
 def test_local_inverses_near_critical_rejected():
-    with pytest.raises(NearCriticalError):
+    with pytest.raises(SingularLocusError):
         branch_table(PowerMap(2), [1e-9], forward=False)
 
 
@@ -186,3 +205,51 @@ def test_variable_leading_coefficient_correspondence():
     assert np.max(np.abs(np.sort_complex(pts) - np.asarray([-0.5, 0.5]))) < 1e-10
     with pytest.raises(BranchCountError):
         branches_at(corr, 0.6, True)       # branches escape the unit disc
+
+
+# (w - z^2)(z^2 w - 1/2) between A(1/sqrt 2, 1) and A(1/2, 1): the graphs of
+# z^2 and of the fold 1/(2 z^2) cross over z^4 = 1/2 and w = +-1/sqrt 2
+R = math.sqrt(0.5)
+FOLD = corr_from_terms([(2, 2, 1.0), (0, 1, -0.5), (4, 1, -1.0), (2, 0, 0.5)],
+                       Annulus(0.0, R, 1.0), Annulus(0.0, 0.5, 1.0))
+
+
+def same_points(got, want, tol=1e-10):
+    """got holds exactly the points of want, each to tol."""
+    d = np.abs(np.asarray(got)[:, None] - np.asarray(want)[None, :])
+    return len(got) == len(want) and np.all(np.min(d, axis=0, initial=np.inf) <= tol)
+
+
+@pytest.mark.parametrize("case", ["mixed", "blaschke", "fold"])
+def test_singular_sets_of_non_monomial_discriminants(case):
+    if case == "mixed":        # w^2 - z^2 + 0.3 z on unit discs
+        corr = corr_from_terms([(0, 2, 1.0), (2, 0, -1.0), (1, 0, 0.3)])
+        v1, v2 = [0.0, 0.3], [0.15j, -0.15j]
+    elif case == "blaschke":   # the graph; v2 is f at its critical point
+        f = BlaschkeProduct([0.3, -0.2 + 0.1j])
+        corr, v1, v2 = f.graph, [], f(f.critical_points())
+        assert abs(v2[0] - (-0.0605918 + 0.0252466j)) < 1e-7
+    else:
+        corr, v1, v2 = FOLD, 0.5 ** 0.25 * 1j ** np.arange(4), [R, -R]
+    assert same_points(corr.v1, v1) and same_points(corr.v2, v2)
+
+
+def test_fold_sweep_excludes_grid_points_on_the_singular_sets():
+    ev1 = annulus_evaluator(R, 1.0, -39, 41)
+    ev2 = annulus_evaluator(0.5, 1.0, -20, 20)
+    zs = np.concatenate([FOLD.v1, [0.8, 0.85j, -0.83 + 0.1j]])
+    ws = np.array([R, -R, 0.6, -0.7j, 0.8 + 0.1j])
+    report = verify_correspondence(FOLD, ev1.onb, ev2.onb, zs, ws)
+    assert report.excluded == 4 * 5 + 7 * 2 - 4 * 2
+    assert report.lhs.shape == (3, 3) and np.all(np.isfinite(report.lhs))
+
+
+def test_tiny_coefficients_do_not_overflow():
+    # the leading coefficient's zero -1/5e-324 overflows a double: on the
+    # correspondence's own lead, and on a Blaschke graph's -(1 - conj(a) z)
+    corr = corr_from_terms([(0, 2, 1.0), (1, 2, 5e-324), (1, 0, -1.0)])
+    assert same_points(corr.v1, [0.0]) and corr.v2.size == 0
+    f = BlaschkeProduct([5e-324, 0.5])
+    w = np.array([0.3, -0.4j])
+    assert np.all(f.local_inverses(w).ok)
+    assert np.all(f.branches(f.local_inverses(w).points.ravel(), forward=True).ok)
