@@ -64,9 +64,8 @@ KNOWN_CHECKS = ("conjugate_symmetry", "diagonal_positivity", "reproduce_basis",
 # equality for Q = w^2 - z, where adjoint_disc reads 1 + 1.7e-14
 BOUND_SLACK = 1e-12
 
-# rows per write of a CSV body: joining one block's cells at a time keeps
-# the bytes held while writing to a few tens of KB, where the whole body
-# would be MBs
+# rows per write of a CSV body: one block's bytes, a few tens of KB, are
+# held at a time, where the whole body would be MBs
 CSV_BLOCK_ROWS = 256
 
 # libyaml's emitter when PyYAML was built with it, about 4x faster than
@@ -335,10 +334,10 @@ def build_side(cfg, suffix=""):
     domain = build_domain(cfg, "domain" + suffix)
     rule = build_rule(cfg, domain, "quadrature" + suffix)
     basis, n_prefilter = build_basis(cfg, domain, "basis" + suffix)
-    # orthonormalize checks drop_tol too, but only when orthonormal(weight) runs
+    # a cutoff relative to the largest pivot: from 1 on it drops them all
     drop_tol = cfg_get(cfg, "drop_tol", 1e-10, float)
-    if not drop_tol > 0:
-        raise ConfigError(f"'drop_tol' must be positive, got {drop_tol!r}")
+    if not 0 < drop_tol < 1:
+        raise ConfigError(f"'drop_tol' must lie in (0, 1), got {drop_tol!r}")
     orthonormal = functools.cache(lambda weight: orthonormalize(basis, rule, weight, drop_tol))
     return domain, orthonormal, n_prefilter
 
@@ -517,41 +516,42 @@ def _format_block(values, out):
     out[rest] = [format(v, ".17g").encode() for v in values[rest].tolist()]
 
 
-def _csv_cells(columns):
-    """The text of each value of each array in ``columns`` followed by its
-    separator, a comma or, in the last column, the row's CRLF, as one
-    ``S26`` array in the order of the concatenated columns."""
-    text = _format_17g(np.concatenate(columns))
+def _csv_cells(groups):
+    """Each value of each 1-D array of ``groups``, float or complex, as one
+    bytes cell: the .17g text of the value, or of its real and imaginary
+    parts, each followed by a comma or, in the last group, which is real,
+    by the row's CRLF; as one object array, group after group."""
+    text = _format_17g(np.concatenate([g.view(np.float64) for g in groups]))
     cells = np.zeros((len(text), _FMT_WIDTH + 2), np.uint8)
     cells[:, :_FMT_WIDTH] = text.view(np.uint8).reshape(len(text), _FMT_WIDTH)
-    ends = cells.argmin(axis=1)  # the first NUL: no text has one
-    rows = np.arange(len(text))
-    cells[rows, ends] = ord(",")
-    last = len(text) - len(columns[-1])
-    cells[rows[last:], ends[last:]] = ord("\r")
-    cells[rows[last:], ends[last:] + 1] = ord("\n")
-    return cells.view(f"S{_FMT_WIDTH + 2}").ravel()
+    at, ends = np.arange(len(text)), np.char.str_len(text)
+    cells[at, ends] = ord(",")
+    last = at[len(text) - len(groups[-1]):]
+    cells[last[:, None], ends[last, None] + [0, 1]] = np.frombuffer(b"\r\n", np.uint8)
+    cells = cells.view(f"S{_FMT_WIDTH + 2}").ravel().astype(object)
+    parts = np.split(cells, np.cumsum([g.nbytes // 8 for g in groups[:-1]]))
+    return np.concatenate([p if g.itemsize == 8 else p[::2] + p[1::2]
+                           for g, p in zip(groups, parts)])
 
 
-def write_csv(path, header, table):
-    """Write ``header`` and the rows of the ``(n_rows, len(header))``
-    float array ``table`` as CSV: excel dialect (CRLF, nothing quoted),
-    each value as ``.17g``.  Each column formats each distinct bit
-    pattern once, so 0.0 and -0.0 keep their own strings."""
+def write_csv(path, header, table, grids=()):
+    """Write ``header`` and rows as CSV: excel dialect (CRLF, nothing
+    quoted), each value as ``.17g``.  Row r holds values[at[r]] of each
+    (values, at) of ``grids``, a complex value as two columns, then row r
+    of the float array ``table``.  Each grid value and each distinct bit
+    pattern of a table column (0.0 and -0.0 apart) is formatted once, and
+    the rows are joined from references to those cells."""
     table = np.asarray(table, dtype=np.float64)
-    # every column's distinct values; index[r, c] is the position of cell
-    # (r, c)'s value among them all
-    distinct = []
-    index = np.empty(table.shape, dtype=np.intp)
-    for c, bits in enumerate(table.view(np.int64).T):
-        values, inverse = np.unique(bits, return_inverse=True)
-        index[:, c] = inverse + sum(map(len, distinct))
-        distinct.append(values.view(np.float64))
-    cells = _csv_cells(distinct)
+    distinct = [np.unique(bits, return_inverse=True) for bits in table.view(np.int64).T]
+    groups = ([np.ascontiguousarray(values, complex) for values, _ in grids]
+              + [values.view(np.float64) for values, _ in distinct])
+    index = np.column_stack([at for _, at in (*grids, *distinct)])
+    index += np.cumsum([0] + [len(g) for g in groups[:-1]])
+    cells = _csv_cells(groups)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(index), CSV_BLOCK_ROWS):
-            fh.write(b"".join(cells[index[start:start + CSV_BLOCK_ROWS].ravel()].tolist()))
+            fh.write(b"".join(cells[index[start:start + CSV_BLOCK_ROWS]].ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +664,9 @@ def run_kernel(cfg, run: RunDir):
 
     if csv:
         k = ev.eval_kernel_grid(zs, ws)
-        z, w = np.meshgrid(zs, ws, indexing="ij")
-        table = np.stack((z.real, z.imag, w.real, w.imag, k.real, k.imag), axis=-1)
-        write_csv(run.file("kernel.csv"),
-                  ["re_z", "im_z", "re_w", "im_w", "re_k", "im_k"], table.reshape(-1, 6))
+        z_at, w_at = np.indices(k.shape).reshape(2, -1)  # z-major
+        write_csv(run.file("kernel.csv"), ["re_z", "im_z", "re_w", "im_w", "re_k", "im_k"],
+                  np.column_stack((k.real.ravel(), k.imag.ravel())), grids=[(zs, z_at), (ws, w_at)])
 
     gate = 0.0
     if oracle is not None:
@@ -705,11 +704,11 @@ def run_verify(cfg, run: RunDir):
 
 def _write_residual_csv(run, report):
     """One row per sample of the sweep's record, w-major."""
-    z, w = np.tile(report.z, len(report.w)), np.repeat(report.w, len(report.z))
+    w_at, z_at = np.indices((len(report.w), len(report.z))).reshape(2, -1)
     lhs, rhs = report.lhs.T.ravel(), report.rhs.T.ravel()
-    cols = (z.real, z.imag, w.real, w.imag, np.abs(lhs - rhs), np.abs(lhs))
-    write_csv(run.file("samples.csv"),
-              ["re_z", "im_z", "re_w", "im_w", "abs_residual", "abs_lhs"], np.column_stack(cols))
+    write_csv(run.file("samples.csv"), ["re_z", "im_z", "re_w", "im_w", "abs_residual", "abs_lhs"],
+              np.column_stack((np.abs(lhs - rhs), np.abs(lhs))),
+              grids=[(report.z, z_at), (report.w, w_at)])
 
 
 def run_adjoint(cfg, run: RunDir):
@@ -826,7 +825,22 @@ def preset_text(name):
     return path.read_text(encoding="utf-8")
 
 
+def _require_string_keys(node, path=""):
+    """Refuse a mapping key that is not a string anywhere in ``node``, by
+    its dotted path: the config's hash and echo need string keys."""
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            _require_string_keys(value, f"{path}[{i}]")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            at = f"{path}.{key}" if path else str(key)
+            if not isinstance(key, str):
+                raise ConfigError(f"config key '{at}' must be a string, got {key!r}")
+            _require_string_keys(value, at)
+
+
 def execute(subcommand, cfg, out_root, verbose=False):
+    _require_string_keys(cfg)
     run = RunDir(out_root, subcommand, cfg)
     run.add(seed=cfg_get(cfg, "seed", 0, int))
     tolerance = cfg_get(cfg, "tolerance", None, float)

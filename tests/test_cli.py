@@ -505,12 +505,51 @@ def test_adjoint_n_elements_above_the_retained_counts_is_a_config_error(tmp_path
     assert "adjoint.n_elements = 10" in err and "counts 9, 9 (source, target)" in err
 
 
-def test_drop_tol_above_one_is_a_numerical_failure(tmp_path):
-    # the disc's Gram is exactly diagonal, and still every pivot drops
-    cfg = write_cfg(tmp_path, preset_text("disc_kernel_oracle"))
-    assert run_cli(tmp_path, "kernel", cfg, "--set", "drop_tol=2.0") == 3
-    summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
-    assert "all Gram pivots fell below the drop tolerance" in summary
+def test_drop_tol_of_one_or_more_is_a_config_error(tmp_path, capsys):
+    # a cutoff relative to the largest pivot drops every pivot from 1 on,
+    # even on the disc's exactly diagonal Gram
+    cfg = write_cfg(tmp_path, preset_text("proper_square_disc"))
+    for value in ("1.0", ".inf", "2.0"):
+        assert run_cli(tmp_path, "verify", cfg, "--set", f"drop_tol={value}") == 2
+        assert "'drop_tol' must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    assert run_cli(tmp_path, "verify", cfg, "--set", "drop_tol=0.999") == 0
+    summary = (only_run_dir(tmp_path, "verify-") / "summary.txt").read_text()
+    assert "status = ok" in summary
+
+
+@pytest.mark.parametrize("key, path", [("1", "1"), ("true", "True"), ("null", "None")])
+def test_a_config_key_that_is_not_a_string_is_a_config_error(tmp_path, capsys, key, path):
+    # a mapping mixing string keys with others cannot be hashed or echoed
+    text = preset_text("proper_square_disc")
+    cfg = write_cfg(tmp_path, text + f"{key}: x\n")
+    assert run_cli(tmp_path, "verify", cfg) == 2
+    assert f"config key '{path}' must be a string" in capsys.readouterr().err
+    nested = text.replace("{kind: cartesian,", f"{{{key}: 2, kind: cartesian,", 1)
+    assert run_cli(tmp_path, "verify", write_cfg(tmp_path, nested)) == 2
+    assert f"config key 'grid.z.{path}' must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_execute_refuses_a_key_that_is_not_a_string_before_writing(tmp_path):
+    from redbergman.cli import execute
+    from redbergman.errors import ConfigError
+
+    cfg = yaml.safe_load(preset_text("proper_square_disc"))
+    del cfg["run"]
+    cfg["grid"]["z"] = {1: 2, "kind": "cartesian", "rmax": 0.7, "n": 21}
+    with pytest.raises(ConfigError, match=r"config key 'grid\.z\.1' must be a string"):
+        execute("verify", cfg, str(tmp_path / "out"))
+    cfg["grid"]["z"] = {"kind": "cartesian", "rmax": 0.7, "n": 21}
+    cfg["domain"] = {"type": "generic", "bbox": [-1, 1, -1, 1],
+                     "inequalities": [{"sign": "<", None: 0}]}
+    with pytest.raises(ConfigError, match=r"'domain\.inequalities\[0\]\.None' must be a"):
+        execute("verify", cfg, str(tmp_path / "out"))
+    del cfg["domain"]
+    cfg[1] = "x"
+    with pytest.raises(ConfigError, match="config key '1' must be a string"):
+        execute("verify", cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_adjoint_model_errors_come_before_the_numerics(tmp_path, capsys, monkeypatch):
@@ -1040,6 +1079,100 @@ def test_write_csv_row_blocks_match_csv_writer(tmp_path, n_rows):
     path = tmp_path / "t.csv"
     write_csv(path, header, table)
     assert path.read_bytes() == csv_writer_oracle(header, table.tolist())
+
+
+@st.composite
+def grids_and_tables(draw):
+    """Grids of complex values from small pools with -0.0, NaNs, infinities
+    and subnormals in either part, row indices into them, and a float table
+    drawn from another pool, with row counts that cross the row-block size."""
+    floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+    n_rows = draw(st.sampled_from([0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3])
+                  | st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grids = []
+    for _ in range(draw(st.integers(0, 2))):
+        pool = draw(st.lists(st.tuples(floats, floats), min_size=1, max_size=6))
+        values = np.empty(len(pool), complex)
+        values.real, values.imag = np.array(pool).T
+        grids.append((values, rng.integers(0, len(pool), n_rows)))
+    pool = np.array(draw(st.lists(floats, min_size=1, max_size=6)))
+    table = pool[rng.integers(0, len(pool), (n_rows, draw(st.integers(1, 3))))]
+    return grids, table
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=grids_and_tables())
+def test_write_csv_grids_match_the_materialised_table(tmp_path, case):
+    """Grid rows written by reference equal the dense table's rows."""
+    from redbergman.cli import write_csv
+
+    grids, table = case
+    dense = [part for values, at in grids for part in (values[at].real, values[at].imag)]
+    dense = np.column_stack([*dense, table])
+    header = [f"c{k}" for k in range(2 * len(grids) + table.shape[1])]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, table, grids=grids)
+    assert path.read_bytes() == csv_writer_oracle(header, dense.tolist())
+
+
+def random_grids(cfg, n_z, n_w):
+    cfg["grid"] = {"z": {"kind": "random_disc", "rmax": cfg["grid"]["z"]["rmax"], "n": n_z},
+                   "w": {"kind": "random_disc", "rmax": cfg["grid"]["w"]["rmax"], "n": n_w}}
+    cfg["output"] = {"csv": True}
+    return cfg
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("preset", ["proper_square_disc", "corr_sqrt_disc"])
+def test_samples_csv_is_the_dense_table(tmp_path, monkeypatch, preset, seed):
+    """samples.csv on random grids, with two singular points added to each
+    so that samples are excluded, equals the oracle on the table tiled,
+    repeated and stacked from the sweep's record."""
+    from redbergman import cli
+
+    real_grid, reports, sweep = cli.build_grid, [], cli.verify_correspondence
+    monkeypatch.setattr(cli, "build_grid",
+                        lambda *args: np.r_[real_grid(*args), 0.0, 5e-7])
+    monkeypatch.setattr(cli, "verify_correspondence",
+                        lambda *args: reports.append(sweep(*args)) or reports[-1])
+    cfg = random_grids(yaml.safe_load(preset_text(preset)), 23, 17)
+    cfg["seed"] = seed
+    assert run_cli(tmp_path, "verify", write_cfg(tmp_path, yaml.safe_dump(cfg))) == 0
+    (rep,) = reports
+    assert rep.excluded > 0
+    z, w = np.tile(rep.z, len(rep.w)), np.repeat(rep.w, len(rep.z))
+    lhs, rhs = rep.lhs.T.ravel(), rep.rhs.T.ravel()
+    table = np.column_stack((z.real, z.imag, w.real, w.imag, np.abs(lhs - rhs), np.abs(lhs)))
+    assert len(table) > CSV_BLOCK_ROWS
+    want = csv_writer_oracle(["re_z", "im_z", "re_w", "im_w", "abs_residual", "abs_lhs"],
+                             table.tolist())
+    assert (only_run_dir(tmp_path, "verify-") / "samples.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_kernel_csv_is_the_dense_table(tmp_path, monkeypatch, seed):
+    """kernel.csv on random grids equals the oracle on the meshgrid table."""
+    from redbergman import cli
+
+    seen = []
+    real = cli.KernelEvaluator.eval_kernel_grid
+
+    def spy(self, zs, ws):
+        seen.append((zs, ws, real(self, zs, ws)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cli.KernelEvaluator, "eval_kernel_grid", spy)
+    cfg = random_grids(yaml.safe_load(DISC_KERNEL_CFG), 19, 15)
+    cfg["seed"] = seed
+    assert run_cli(tmp_path, "kernel", write_cfg(tmp_path, yaml.safe_dump(cfg))) == 0
+    zs, ws, k = seen[0]
+    z, w = np.meshgrid(zs, ws, indexing="ij")
+    table = np.stack((z.real, z.imag, w.real, w.imag, k.real, k.imag), axis=-1).reshape(-1, 6)
+    assert len(table) > CSV_BLOCK_ROWS
+    want = csv_writer_oracle(["re_z", "im_z", "re_w", "im_w", "re_k", "im_k"], table.tolist())
+    assert (only_run_dir(tmp_path, "kernel-") / "kernel.csv").read_bytes() == want
 
 
 def format_edge_cases():
