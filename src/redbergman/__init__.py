@@ -14,7 +14,6 @@ from .geometry import (
     disc_grid,
 )
 from .holobasis import (
-    BasisElement,
     ConstantWeight,
     PowerWeight,
     PullbackWeight,

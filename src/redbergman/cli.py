@@ -260,18 +260,18 @@ def build_weight(cfg, key="weight"):
 def build_map(cfg, source, target, key="map"):
     kind = cfg_get(cfg, f"{key}.type")
     try:
-        if kind in ("power", "identity"):
-            m = 1 if kind == "identity" else cfg_get(cfg, f"{key}.m", kind=int)
-            return PowerMap(m, source=source, target=target)
+        if kind == "power":
+            return PowerMap(cfg_get(cfg, f"{key}.m", kind=int), source=source, target=target)
         if kind == "blaschke":
             for dom, name in ((source, "domain"), (target, "domain2")):
-                _require_unit_disc(dom, f"a blaschke {key} ('{name}')")
+                if not _is_unit_disc(dom):
+                    raise ConfigError(f"a blaschke {key} ('{name}') requires the unit disc")
             return BlaschkeProduct(cfg_list(cfg, f"{key}.zeros", complex))
         if kind == "polynomial":
             return PolynomialMap(cfg_list(cfg, f"{key}.coeffs", complex), source, target)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"{key}.type must be power, identity, blaschke or polynomial")
+    raise ConfigError(f"{key}.type must be power, blaschke or polynomial")
 
 
 def build_correspondence(cfg, d1, d2, key="correspondence"):
@@ -288,6 +288,8 @@ def build_grid(cfg, key, seed=0):
     if kind in ("cartesian", "random_disc"):
         rmax = cfg_get(cfg, f"{key}.rmax", kind=float)
         n = cfg_get(cfg, f"{key}.n", kind=POSITIVE_INT)
+        if rmax < 0:
+            raise ConfigError(f"'{key}.rmax' must be >= 0, got {rmax}")
     try:
         if kind == "cartesian":
             pts = disc_grid(rmax, n, center)
@@ -328,8 +330,8 @@ def build_grids(cfg, key, d1, d2):
 
 
 def build_side(cfg, suffix=""):
-    """(domain, orthonormal, prefilter basis size) of one side, each built
-    once from domain<suffix>, quadrature<suffix> and basis<suffix>;
+    """(domain, orthonormal, raw basis, prefilter basis size) of one side,
+    each built once from domain<suffix>, quadrature<suffix> and basis<suffix>;
     orthonormal(weight) orthonormalizes the basis once per weight object."""
     domain = build_domain(cfg, "domain" + suffix)
     rule = build_rule(cfg, domain, "quadrature" + suffix)
@@ -339,19 +341,19 @@ def build_side(cfg, suffix=""):
     if not 0 < drop_tol < 1:
         raise ConfigError(f"'drop_tol' must lie in (0, 1), got {drop_tol!r}")
     orthonormal = functools.cache(lambda weight: orthonormalize(basis, rule, weight, drop_tol))
-    return domain, orthonormal, n_prefilter
+    return domain, orthonormal, basis, n_prefilter
 
 
 def build_sides(cfg):
     """(d1, orthonormal1, d2, orthonormal2); side 2 is side 1 when its
     domain, quadrature and basis blocks have side 1's JSON text, in which
     1, 1.0 and true differ, so reuse never skips a side-2 config error."""
-    d1, orthonormal1, _ = build_side(cfg)
+    d1, orthonormal1, *_ = build_side(cfg)
     if all(json.dumps(cfg_get(cfg, k, None), sort_keys=True, default=str)
            == json.dumps(cfg_get(cfg, k + "2", None), sort_keys=True, default=str)
            for k in ("domain", "quadrature", "basis")):
         return d1, orthonormal1, d1, orthonormal1
-    d2, orthonormal2, _ = build_side(cfg, "2")
+    d2, orthonormal2, *_ = build_side(cfg, "2")
     return d1, orthonormal1, d2, orthonormal2
 
 
@@ -557,38 +559,38 @@ def write_csv(path, header, table, grids=()):
 # ---------------------------------------------------------------------------
 # oracle and check evaluation for the kernel pipeline
 
-def build_oracle(cfg, domain):
-    """The closed-form kernel of the oracle block as a function
-    (zs, ws) -> values on the grid product, checked against the domain
-    and the basis; None when the config has no oracle."""
-    if cfg_get(cfg, "oracle", None) is None:
+def build_oracle(cfg, domain, weight, basis):
+    """The closed-form kernel of the side's domain, weight and raw basis
+    as a function (zs, ws) -> values on the grid product; None without an
+    oracle block.  A side with no closed form is a config error."""
+    block = cfg_get(cfg, "oracle", None)
+    if block is None:
         return None
-    kind = cfg_get(cfg, "oracle.type")
-    if kind in ("disc", "disc_power_weight"):
-        _require_unit_disc(domain, f"oracle.type = {kind}")
-        if kind == "disc":
-            return lambda zs, ws: oracles.disc_kernel(zs[:, None], ws[None, :])
-        alpha = cfg_get(cfg, "oracle.alpha", kind=float)
-        return lambda zs, ws: oracles.disc_power_weight_kernel(zs[:, None], ws[None, :], alpha)
-    if kind in ("annulus_reduced", "annulus_full"):
-        if not isinstance(domain, Annulus):
-            raise ConfigError(f"oracle.type = {kind} requires an annulus domain")
-        reduced = cfg_get(cfg, "basis.reduced", False, bool)
-        if reduced != (kind == "annulus_reduced"):
-            raise ConfigError("oracle reduced/full flavor must match basis.reduced")
-        c = domain.center  # the series is in powers of z - c
-        if cfg_get(cfg, "basis.center", 0j, complex) != c:
-            raise ConfigError(f"oracle.type = {kind} requires basis.center at the annulus centre")
-        window = cfg_get(cfg, "basis.n_min", kind=int), cfg_get(cfg, "basis.n_max", kind=int)
-        return lambda zs, ws: oracles.annulus_kernel(zs[:, None] - c, ws[None, :] - c,
-                                                     domain.r_inner, domain.r_outer, *window,
-                                                     reduced=reduced)
-    raise ConfigError(f"unknown oracle.type {kind!r}")
+    if not isinstance(block, dict):
+        raise ConfigError(f"'oracle' must be a mapping, got {block!r}")
+    unknown = sorted(set(block) - {"grid"})
+    if unknown:
+        raise ConfigError(f"'oracle.{unknown[0]}' is not a field: the closed form follows from "
+                          "domain, weight and basis")
+    const = isinstance(weight, ConstantWeight)
+    if _is_unit_disc(domain) and const:
+        return lambda zs, ws: oracles.disc_kernel(zs[:, None], ws[None, :]) / weight.value
+    if _is_unit_disc(domain) and isinstance(weight, PowerWeight) and weight.center == 0:
+        return lambda zs, ws: oracles.disc_power_weight_kernel(zs[:, None], ws[None, :],
+                                                               weight.alpha)
+    if isinstance(domain, Annulus) and const and basis.center == domain.center:
+        # the series in powers of z - c over the basis window, reduced without 1/(z - c)
+        c, window = domain.center, (min(basis.powers), max(basis.powers))
+        return lambda zs, ws: oracles.annulus_kernel(
+            zs[:, None] - c, ws[None, :] - c, domain.r_inner, domain.r_outer, *window,
+            reduced=-1 not in basis.powers) / weight.value
+    raise ConfigError(f"oracle: no closed-form kernel for weight "
+                      f"{cfg_get(cfg, 'weight', {'type': 'constant'})} on domain.type "
+                      f"{cfg_get(cfg, 'domain.type')} with basis.center {basis.center}")
 
 
-def _require_unit_disc(dom, what):
-    if not (isinstance(dom, Disc) and dom.center == 0 and dom.radius == 1.0):
-        raise ConfigError(f"{what} requires the unit disc domain")
+def _is_unit_disc(dom):
+    return isinstance(dom, Disc) and dom.center == 0 and dom.radius == 1.0
 
 
 def build_checks(cfg):
@@ -653,12 +655,13 @@ def _run_checks(tols, ev, zs, run):
 def run_kernel(cfg, run: RunDir):
     tols = build_checks(cfg)
     csv = cfg_get(cfg, "output.csv", True, bool)
-    domain, orthonormal, n_raw = build_side(cfg)
+    domain, orthonormal, basis, n_raw = build_side(cfg)
     zs, ws = build_grids(cfg, "grid", domain, domain)
     ozs, ows = (build_grids(cfg, "oracle.grid", domain, domain)
                 if cfg_get(cfg, "oracle.grid", None) else (zs, ws))
-    oracle = build_oracle(cfg, domain)
-    ev = KernelEvaluator(orthonormal(build_weight(cfg)))
+    weight = build_weight(cfg)
+    oracle = build_oracle(cfg, domain, weight, basis)
+    ev = KernelEvaluator(orthonormal(weight))
     run.add(n_raw=n_raw, retained_count=ev.onb.retained_count,
             gram_condition=ev.onb.gram_condition)
 
@@ -748,17 +751,20 @@ def run_adjoint(cfg, run: RunDir):
 
 
 def run_recover(cfg, run: RunDir):
-    if cfg_get(cfg, "recover.stencil", None) is not None:
-        raise ConfigError("'recover.stencil' is no longer used: the recovery "
-                          "derivative is now exact; remove the key")
+    for key, why in (("recover.stencil", "the recovery derivative is now exact"),
+                     ("domain2", "the target is the unit disc")):
+        if cfg_get(cfg, key, None) is not None:
+            raise ConfigError(f"'{key}' is not used by recover: {why}; remove the key")
+    target = Disc(0j, 1.0)
     probe = cfg_get(cfg, "recover.probe", 0j, complex)
     fallback = cfg_get(cfg, "recover.fallback", 0.1 + 0j, complex)
+    for key, w in (("recover.probe", probe), ("recover.fallback", fallback)):
+        if not target.contains(w):
+            raise ConfigError(f"'{key}' must lie in the unit disc, the target, got {w}")
     csv = cfg_get(cfg, "output.csv", True, bool)
-    d1, orthonormal, _ = build_side(cfg)
+    d1, orthonormal, *_ = build_side(cfg)
     zs = _require_inside(build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0, int)), d1, "grid.z")
-    d2 = build_domain(cfg, "domain2")
-    _require_unit_disc(d2, "recover")
-    f = build_map(cfg, d1, d2)
+    f = build_map(cfg, d1, target)
     ev = KernelEvaluator(orthonormal(build_weight(cfg)))
     rec = recover_map(f, ev, zs, probe=probe, fallback_probe=fallback)
     fz = f(zs)
@@ -844,6 +850,8 @@ def execute(subcommand, cfg, out_root, verbose=False):
     run = RunDir(out_root, subcommand, cfg)
     run.add(seed=cfg_get(cfg, "seed", 0, int))
     tolerance = cfg_get(cfg, "tolerance", None, float)
+    if tolerance is not None and tolerance < 0:
+        raise ConfigError(f"'tolerance' must be >= 0, got {tolerance}")
     try:
         gate_value = PIPELINES[subcommand](cfg, run)
     except ConfigError:

@@ -1,9 +1,9 @@
 """Raw holomorphic basis families, weight functions, and the
 reduced-space filter.
 
-A raw basis is an ordered family of powers (z - c)^n, n possibly
-negative (Laurent); its values and derivatives are power columns built
-by cumulative products.  The reduced subspace keeps exactly the
+A raw basis is one centre c and an ordered family of powers (z - c)^n,
+n possibly negative (Laurent); its values and derivatives are power
+columns built by cumulative products.  The reduced subspace keeps exactly the
 elements admitting a single-valued primitive.  By residue calculus the
 only power (z - c)^n without one is n = -1 with c in a hole of the
 domain, and of the domains here only an annulus has a hole.
@@ -22,7 +22,6 @@ from .geometry import Annulus, Disc, GenericDomain, PlanarDomain, require_finite
 from .propermaps import PowerMap
 
 __all__ = [
-    "BasisElement",
     "RawBasis",
     "monomial_basis",
     "laurent_basis",
@@ -38,46 +37,34 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BasisElement:
-    """The power (z - center)^n."""
-
-    power: int
-    center: complex
-
-    def eval(self, z):
-        return (np.asarray(z, dtype=complex) - self.center) ** self.power
-
-    def __repr__(self):
-        return f"BasisElement((z - {self.center})^{self.power})"
-
-
-@dataclass(frozen=True)
 class RawBasis:
-    """Ordered family of distinct BasisElements over one domain."""
+    """The powers (z - center)^n for n in ``powers``, distinct and in
+    order, over one domain."""
 
-    elements: tuple
+    center: complex
+    powers: tuple
     domain: Optional[PlanarDomain] = None
 
     def __post_init__(self):
-        keys = [(e.power, e.center) for e in self.elements]
-        if len(set(keys)) != len(keys):
-            raise ValueError("raw basis elements must be pairwise distinct")
+        if len(set(self.powers)) != len(self.powers):
+            raise ValueError("raw basis powers must be pairwise distinct")
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.powers)
 
-    def _terms(self):
-        return [(e.power, e.center) for e in self.elements]
+    def name(self, k) -> str:
+        """Element k as text, (z - c)^n."""
+        return f"(z - {self.center})^{self.powers[k]}"
 
     def values(self, pts) -> np.ndarray:
         """(npts, n_elements) matrix of element values."""
-        return _power_columns(pts, self._terms())
+        return _power_columns(pts, self.center, self.powers)
 
     def value_rows(self, pts):
         """Yields the columns of ``values(pts)`` one element at a time, as
         flat rows with the same bits.  Each row lives in one reused buffer,
         valid only until the next is drawn."""
-        return _power_rows(pts, self._terms())
+        return _power_rows(pts, self.center, self.powers)
 
     def deriv_values(self, pts, order: int) -> np.ndarray:
         """(npts, n_elements) matrix of order-th derivatives: the falling
@@ -87,48 +74,43 @@ class RawBasis:
             raise ValueError("derivative order must be >= 0")
         if order == 0:
             return self.values(pts)
-        terms = [(0 if 0 <= e.power < order else e.power - order, e.center)
-                 for e in self.elements]
-        coeffs = np.array([math.prod(range(e.power - order + 1, e.power + 1))
-                           for e in self.elements], dtype=float)
-        out = _power_columns(pts, terms)
+        powers = [0 if 0 <= n < order else n - order for n in self.powers]
+        coeffs = np.array([math.prod(range(n - order + 1, n + 1)) for n in self.powers],
+                          dtype=float)
+        out = _power_columns(pts, self.center, powers)
         out *= coeffs
         return out
 
 
-def _power_columns(pts, terms) -> np.ndarray:
-    """(npts, len(terms)) matrix whose column k is (z - c)^n for
-    terms[k] = (n, c).
+def _power_columns(pts, center, powers) -> np.ndarray:
+    """(npts, len(powers)) matrix whose column k is (z - center)^powers[k].
 
-    A term that is the next non-negative power of the term before it
-    (same centre) is that column times (z - c): cumulative products are
-    cheaper and more accurate than complex ``**``.  Every other term is
-    evaluated on its own.
+    A power that is the next non-negative power after the one before it
+    is that column times (z - c): cumulative products are cheaper and
+    more accurate than complex ``**``.  Every other power is evaluated on
+    its own.
     """
     pts = np.asarray(pts, dtype=complex)
-    out = np.empty((len(terms), pts.size), dtype=complex)
-    for _ in _power_rows(pts, terms, out):
+    out = np.empty((len(powers), pts.size), dtype=complex)
+    for _ in _power_rows(pts, center, powers, out):
         pass
-    return out.T.reshape(pts.shape + (len(terms),))
+    return out.T.reshape(pts.shape + (len(powers),))
 
 
-def _power_rows(pts, terms, out=None):
-    """Yields the rows (z - c)^n of ``_power_columns(pts, terms).T`` one
-    term at a time, with the same arithmetic, written into the rows of
-    ``out`` or, without it, into one reused buffer that holds a row only
-    until the next is drawn."""
-    flat = np.asarray(pts, dtype=complex).reshape(-1)
-    rows = out if out is not None else itertools.repeat(np.empty(flat.size, dtype=complex))
-    prev = None
-    for row, (n, c) in zip(rows, terms):
-        same_center = prev is not None and c == prev[1]
-        if not same_center:
-            shift = flat - c
-        if same_center and prev[0] >= 0 and n == prev[0] + 1:
+def _power_rows(pts, center, powers, out=None):
+    """Yields the rows (z - center)^n of ``_power_columns(pts, center,
+    powers).T`` one power at a time, with the same arithmetic, written
+    into the rows of ``out`` or, without it, into one reused buffer that
+    holds a row only until the next is drawn."""
+    shift = np.asarray(pts, dtype=complex).reshape(-1) - center
+    rows = out if out is not None else itertools.repeat(np.empty(shift.size, dtype=complex))
+    prev = -1  # the power before the first: none to multiply
+    for row, n in zip(rows, powers):
+        if prev >= 0 and n == prev + 1:
             np.multiply(prev_row, shift, out=row)
         else:
             row[:] = shift ** n
-        prev, prev_row = (n, c), row
+        prev, prev_row = n, row
         yield row
 
 
@@ -138,7 +120,7 @@ def monomial_basis(center, degree: int, domain: Optional[PlanarDomain] = None) -
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     c = complex(center)
-    return RawBasis(tuple(BasisElement(n, c) for n in range(degree + 1)), domain)
+    return RawBasis(c, tuple(range(degree + 1)), domain)
 
 
 def laurent_basis(center, n_min: int, n_max: int,
@@ -165,7 +147,7 @@ def laurent_basis(center, n_min: int, n_max: int,
             and domain.r_inner <= abs(c - domain.center) <= domain.r_outer):
         raise ValueError("Laurent center in the closed body of an annulus is not "
                          "holomorphic there")
-    return RawBasis(tuple(BasisElement(n, c) for n in range(n_min, n_max + 1)), domain)
+    return RawBasis(c, tuple(range(n_min, n_max + 1)), domain)
 
 
 def reduced_filter(basis: RawBasis) -> RawBasis:
@@ -174,19 +156,20 @@ def reduced_filter(basis: RawBasis) -> RawBasis:
     nonzero period (laurent_basis admits no other pole that a hole could
     enclose).  Order preserved."""
     dom = basis.domain
-    kept = tuple(e for e in basis.elements if not (e.power == -1 and isinstance(dom, Annulus)
-                                                    and abs(e.center - dom.center) < dom.r_inner))
-    return RawBasis(kept, dom)
+    if isinstance(dom, Annulus) and abs(basis.center - dom.center) < dom.r_inner:
+        return RawBasis(basis.center, tuple(n for n in basis.powers if n != -1), dom)
+    return basis
 
 
-def numerical_period(element: BasisElement, circle_center, circle_radius,
+def numerical_period(power: int, center, circle_center, circle_radius,
                      n_points: int = 256) -> complex:
-    """Discrete contour integral of the element over a circle, divided
-    by 2*pi*i.  Trapezoid rule; spectrally accurate for our elements."""
+    """Discrete contour integral of (z - center)^power over a circle,
+    divided by 2*pi*i.  Trapezoid rule; spectrally accurate for powers."""
     t = 2.0 * np.pi * np.arange(n_points) / n_points
     gamma = circle_center + circle_radius * np.exp(1j * t)
     # (1/2pi i) * sum e(gamma) * i R e^{it} * (2pi/N)
-    return complex(np.sum(element.eval(gamma) * np.exp(1j * t)) * circle_radius / n_points)
+    return complex(np.sum((gamma - center) ** power * np.exp(1j * t))
+                   * circle_radius / n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +200,11 @@ class ConstantWeight(WeightFn):
 
 
 class PowerWeight(WeightFn):
-    """nu(z) = |z - center|^(2*alpha), alpha >= 0."""
+    """nu(z) = |z - center|^(2*alpha), alpha >= 0 and finite."""
 
     def __init__(self, alpha: float, center=0.0):
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         require_finite(center)
         self.alpha = float(alpha)
         self.center = complex(center)
@@ -234,12 +217,12 @@ class PowerWeight(WeightFn):
 
 
 class RadialPolyWeight(WeightFn):
-    """nu(z) = sum_k a_k |z - center|^(2k) with a_k >= 0, a_0 > 0."""
+    """nu(z) = sum_k a_k |z - center|^(2k) with finite a_k >= 0, a_0 > 0."""
 
     def __init__(self, coeffs, center=0.0):
         coeffs = [float(a) for a in coeffs]
-        if not coeffs or any(a < 0 for a in coeffs) or coeffs[0] <= 0:
-            raise ValueError("radial_poly needs a_k >= 0 and a_0 > 0")
+        if not coeffs or not all(0 <= a < math.inf for a in coeffs) or coeffs[0] <= 0:
+            raise ValueError(f"radial_poly needs finite a_k >= 0 and a_0 > 0, got {coeffs}")
         require_finite(center)
         self.coeffs = tuple(coeffs)
         self.center = complex(center)

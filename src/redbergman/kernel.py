@@ -12,18 +12,17 @@ The weight at the nodes has one definition, ``node_nu``, which each
 orthonormal system evaluates once, on first read, for its node sums (in
 orthonormal coordinates) and adjointness sums: the exact ring values of
 a polar rule whose rings the weight knows, weight(nodes) otherwise.  On
-a polar rule with every basis element centred at the rule's centre, the
-angular trapezoid sum in a Gram entry is a DFT of the weight on one
-ring, so the rings' spectra and one product with the radial moments
-r^(n+m) give the same discrete sum, reordered (aliasing included).
-A weight constant on each ring has the exact spectrum
-n_angular * nu_i at frequency 0 alone, so a span below n_angular has a
-diagonal Gram; other weights take one FFT per ring.  Generic rules and
-off-centre bases take the dense sum over all nodes, block by block: a
-block writes its weighted power rows, split into real and imaginary
-parts, straight into a reused real buffer and forms one real symmetric
-product (BLAS syrk).  The blocks run on up to two
-threads, one per core, and their products are added in block order, so
+a polar rule centred at the basis centre, the angular trapezoid sum in
+a Gram entry is a DFT of the weight on one ring, so the rings' spectra
+and one product with the radial moments r^(n+m) give the same discrete
+sum, reordered (aliasing included).  A weight constant on each ring
+has the exact spectrum n_angular * nu_i at frequency 0 alone, so a span
+below n_angular has a diagonal Gram; other weights take one FFT per
+ring.  Generic rules and off-centre bases take the dense sum over all
+nodes, block by block: a block writes its weighted power rows, split
+into real and imaginary parts, straight into a reused real buffer and
+forms one real symmetric product (BLAS syrk).  The blocks run on up to
+two threads, one per core, and their products are added in block order, so
 only one block's rows per thread are ever held, the Gram comes out
 exactly Hermitian, and its bits do not depend on the thread count.
 
@@ -91,10 +90,8 @@ def _polar_gram(powers, polar: PolarStructure, nu) -> np.ndarray:
 def _require_finite_values(vals, basis: RawBasis, nodes):
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
-        raise EvaluationError(
-            f"element {basis.elements[bad[1]]!r} is non-finite at node "
-            f"{nodes[bad[0]]}"
-        )
+        raise EvaluationError(f"element {basis.name(bad[1])} is non-finite at node "
+                              f"{nodes[bad[0]]}")
 
 
 def _pool_map(fn, items):
@@ -183,9 +180,9 @@ def gram_matrix(basis: RawBasis, rule: QuadratureRule, weight: WeightFn) -> np.n
     if not np.all(nu > 0):
         raise EvaluationError("weight is non-positive at a quadrature node")
     polar = rule.polar
-    if polar is not None and all(e.center == polar.center for e in basis.elements):
+    if polar is not None and basis.center == polar.center:
         # on ring i each element is r_i^n times a unimodular factor
-        powers = np.array([e.power for e in basis.elements])
+        powers = np.array(basis.powers)
         # the finiteness checks report what these states would warn about
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _require_finite_values(polar.radii[:, None] ** powers, basis,
@@ -194,9 +191,9 @@ def gram_matrix(basis: RawBasis, rule: QuadratureRule, weight: WeightFn) -> np.n
             g = 0.5 * (g + g.conj().T)
     else:
         g = _dense_gram(basis, rule.nodes, rule.weights * nu)
-    for e, norm in zip(basis.elements, np.real(np.diag(g))):
+    for k, norm in enumerate(np.real(np.diag(g))):
         if not 0.0 < norm < np.inf:
-            raise DegenerateBasisError(f"element {e!r} has Gram norm {norm}: its "
+            raise DegenerateBasisError(f"element {basis.name(k)} has Gram norm {norm}: its "
                                        "values under- or overflow on the rule")
     if not np.all(np.isfinite(g)):
         raise DegenerateBasisError("Gram matrix has a non-finite entry")

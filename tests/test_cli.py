@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ weight: {type: constant}
 grid:
   z: {kind: cartesian, rmax: 0.5, n: 5}
   w: {kind: cartesian, rmax: 0.5, n: 5}
-oracle: {type: disc}
+oracle: {}
 """
 
 ANNULUS_CFG = """
@@ -43,13 +44,12 @@ weight: {type: constant}
 grid:
   z: {kind: polar, r_min: 0.6, r_max: 0.9, n_radial: 3, n_angular: 4}
   w: {kind: polar, r_min: 0.6, r_max: 0.9, n_radial: 3, n_angular: 4}
-oracle: {type: annulus_reduced}
+oracle: {}
 """
 
 # the disc kernel for the weight |z|^2, gated on its closed form
-POWER_WEIGHT_CFG = (
-    DISC_KERNEL_CFG.replace("weight: {type: constant}", "weight: {type: power, alpha: 1.0}")
-    .replace("oracle: {type: disc}", "oracle: {type: disc_power_weight, alpha: 1.0}"))
+POWER_WEIGHT_CFG = DISC_KERNEL_CFG.replace("weight: {type: constant}",
+                                           "weight: {type: power, alpha: 1.0}")
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -156,11 +156,10 @@ def test_recover_pipeline_csv(tmp_path):
     cfg_dict = {
         "run": "recover", "seed": 0, "tolerance": 1e-4,
         "domain": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
-        "domain2": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
         "quadrature": {"n_radial": 40, "n_angular": 160},
         "basis": {"type": "monomial", "degree": 40, "reduced": True},
         "weight": {"type": "constant"},
-        "map": {"type": "identity"},
+        "map": {"type": "power", "m": 1},
         "grid": {"z": {"kind": "cartesian", "rmax": 0.5, "n": 5}},
         "recover": {"probe": [0.0, 0.0], "fallback": [0.1, 0.0]},
     }
@@ -247,7 +246,6 @@ def test_numerical_failure_exit_code_and_summary(tmp_path):
     cfg_dict = {
         "run": "recover", "seed": 0, "tolerance": 1e-4,
         "domain": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
-        "domain2": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
         "quadrature": {"n_radial": 20, "n_angular": 60},
         "basis": {"type": "monomial", "degree": 15, "reduced": True},
         "weight": {"type": "constant"},
@@ -273,7 +271,7 @@ def test_gram_norm_out_of_range_is_a_numerical_failure(tmp_path, radius, degree,
                    "--set", f"basis.degree={degree}", "--set", "oracle=null") == 3
     summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
     assert "status = error" in summary
-    assert "DegenerateBasisError: element BasisElement((z - 0j)^" in summary
+    assert "DegenerateBasisError: element (z - 0j)^" in summary
     assert f"has Gram norm {norm}:" in summary
 
 
@@ -407,7 +405,8 @@ def test_annulus_oracle_is_taken_about_the_annulus_centre(tmp_path):
 def test_annulus_oracle_with_the_basis_off_the_centre_is_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, shifted_annulus_oracle([0.0, 0.0]))
     assert run_cli(tmp_path, "kernel", cfg) == 2
-    assert "basis.center at the annulus centre" in capsys.readouterr().err
+    assert ("no closed-form kernel for weight {'type': 'constant'} on domain.type annulus "
+            "with basis.center 0j") in capsys.readouterr().err
 
 
 def test_branch_failure_outside_the_exclusions_is_a_numerical_failure(tmp_path):
@@ -438,6 +437,75 @@ def test_recover_rejects_the_stencil_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, preset_text("recover_blaschke"))
     assert run_cli(tmp_path, "recover", cfg, "--set", "recover.stencil=1.0e-4") == 2
     assert "recover.stencil" in capsys.readouterr().err
+
+
+NO_CLOSED_FORM = "oracle: no closed-form kernel for weight "
+
+
+@pytest.mark.parametrize("command, preset, overrides, message", [
+    ("kernel", "disc_kernel_oracle", ["tolerance=-1.0"], "'tolerance' must be >= 0, got -1.0"),
+    ("recover", "recover_blaschke", ["recover.probe=[2.0, 0.0]"],
+     "'recover.probe' must lie in the unit disc, the target, got (2+0j)"),
+    # the probe sits on the critical value 0 of z^2, so recovery would move to the fallback
+    ("recover", "recover_blaschke", ["map={type: power, m: 2}", "recover.fallback=[3.0, 0.0]"],
+     "'recover.fallback' must lie in the unit disc, the target, got (3+0j)"),
+    ("recover", "recover_blaschke", ["domain2={type: disc, center: [0.0, 0.0], radius: 1.0}"],
+     "'domain2' is not used by recover: the target is the unit disc"),
+    ("recover", "recover_blaschke", ["map={type: identity}"],
+     "map.type must be power, blaschke or polynomial"),
+    ("verify", "weighted_square_disc", ["weight.alpha=.inf"],
+     "weight: alpha must be finite and >= 0, got inf"),
+    ("kernel", "disc_kernel_oracle", ["weight={type: radial_poly, coeffs: [1.0, .inf]}",
+                                      "oracle=null"],
+     "weight: radial_poly needs finite a_k >= 0 and a_0 > 0, got [1.0, inf]"),
+    ("verify", "proper_square_disc", ["grid.z={kind: random_disc, rmax: -0.5, n: 5}"],
+     "'grid.z.rmax' must be >= 0, got -0.5"),
+    ("verify", "proper_square_disc", ["grid.z={kind: cartesian, rmax: -0.5, n: 5}"],
+     "'grid.z.rmax' must be >= 0, got -0.5"),
+    ("kernel", "disc_kernel_oracle", ["weight={type: radial_poly, coeffs: [1.0, 2.0]}"],
+     NO_CLOSED_FORM + "{'type': 'radial_poly', 'coeffs': [1.0, 2.0]} on domain.type disc"),
+    ("kernel", "disc_kernel_oracle", ["weight={type: power, alpha: 1.0, center: [0.3, 0.0]}"],
+     NO_CLOSED_FORM + "{'type': 'power', 'alpha': 1.0, 'center': [0.3, 0.0]} on domain.type"),
+    ("kernel", "annulus_reduced_oracle", ["weight={type: power, alpha: 1.0}"],
+     NO_CLOSED_FORM + "{'type': 'power', 'alpha': 1.0} on domain.type annulus"),
+    ("kernel", "disc_kernel_oracle", ["quadrature={n_grid: 16}",
+                                      "domain={type: generic, bbox: [-1, 1, -1, 1], inequalities: [{sign: '<', poly: [[2, 0, 1.0], [0, 2, 1.0], [0, 0, -1.0]]}]}"],
+     NO_CLOSED_FORM + "{'type': 'constant'} on domain.type generic"),
+    ("kernel", "disc_kernel_oracle", ["oracle=disc"], "'oracle' must be a mapping, got 'disc'"),
+], ids=["negative-tolerance", "probe-outside", "fallback-outside", "recover-domain2",
+        "identity-map", "power-alpha-inf", "radial-coeff-inf", "random-rmax-negative",
+        "cartesian-rmax-negative", "oracle-radial_poly", "oracle-power-off-centre",
+        "oracle-power-on-annulus", "oracle-generic", "oracle-not-a-mapping"])
+def test_out_of_range_fields_are_config_errors_before_the_numerics(
+        tmp_path, capsys, monkeypatch, command, preset, overrides, message):
+    from redbergman import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "orthonormalize", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    out.mkdir()
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert run_cli(tmp_path, command, write_cfg(tmp_path, preset_text(preset)), *sets) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert calls == []
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("preset, override", [
+    ("disc_kernel_oracle", "weight={type: power, alpha: 1.0}"),
+    ("disc_kernel_oracle", "weight.value=2.0"),
+    ("annulus_reduced_oracle", "weight.value=2.0"),
+    # with 1/z kept the closed form is the full series; its log norm is the
+    # radial rule's largest error, 2.2e-10
+    ("annulus_reduced_oracle", "basis.reduced=false"),
+], ids=["disc-power", "disc-constant-2", "annulus-constant-2", "annulus-full"])
+def test_the_kernel_oracle_is_the_closed_form_of_the_side(tmp_path, preset, override):
+    cfg = write_cfg(tmp_path, preset_text(preset))
+    assert run_cli(tmp_path, "kernel", cfg, "--set", override) == 0
+    summary = (only_run_dir(tmp_path, "kernel-") / "summary.txt").read_text()
+    fields = dict(line.split(" = ") for line in summary.splitlines())
+    assert float(fields["oracle_max_rel_err"]) < 1e-9
 
 
 def test_adjoint_honours_drop_tol(tmp_path, monkeypatch):
@@ -604,7 +672,7 @@ def multi_block_ellipse_checks(n_grid=128):
     )
     cfg["basis"]["degree"] = 40
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
-    _, orthonormal, n_raw = cli.build_side(cfg)
+    _, orthonormal, _, n_raw = cli.build_side(cfg)
     ev = cli.KernelEvaluator(orthonormal(cli.build_weight(cfg)))
     return cfg, ev, cli.build_grid(cfg, "grid.z"), n_raw
 
@@ -698,9 +766,6 @@ def test_pipelines_build_each_side_once(tmp_path, monkeypatch, preset, sides):
         want.update({("build_domain", "domain" + suffix): 1,
                      ("build_rule", "quadrature" + suffix): 1,
                      ("build_basis", "basis" + suffix): 1})
-    if command == "recover":
-        # recover reads the target domain alone
-        want["build_domain", "domain2"] += 1
     assert calls == want
 
 
@@ -879,10 +944,11 @@ def test_cfg_get_kinds():
     ("grid.w.rmax=abc", "grid.w.rmax"),
     ("oracle.grid={z: {kind: cartesian, rmax: 0.5, n: 3}, w: {kind: polar}}", "oracle.grid.w"),
     ('output.csv="no"', "output.csv"),
-    ("oracle.type=bogus", "oracle.type 'bogus'"),
-    ("oracle={type: disc_power_weight, alpha: abc}", "'oracle.alpha'"),
-    ("domain.radius=2.0", "oracle.type = disc requires the unit disc"),
-    ("oracle={type: annulus_reduced}", "oracle.type = annulus_reduced requires an annulus"),
+    # the closed form follows from the side: the block names no form
+    ("oracle.type=bogus", "'oracle.type' is not a field"),
+    ("oracle={type: disc_power_weight, alpha: abc}", "'oracle.alpha' is not a field"),
+    ("domain.radius=2.0", "kernel for weight {'type': 'constant'} on domain.type disc"),
+    ("oracle={type: annulus_reduced}", "'oracle.type' is not a field"),
 ], ids=["misspelt-check", "tolerance-text", "tolerance-nan", "grid-w-text",
         "oracle-grid-w-missing", "csv-string", "oracle-type-unknown", "oracle-alpha-text",
         "oracle-off-unit-disc", "annulus-oracle-on-disc"])
@@ -1358,3 +1424,49 @@ def test_verify_outputs_survive_python_O(tmp_path):
     for name in ("summary.txt", "samples.csv"):
         got = (tmp_path / "opt" / run_dir / name).read_bytes()
         assert got == (tmp_path / "in" / run_dir / name).read_bytes(), name
+
+
+def config_leaves(node, path=""):
+    """The dotted paths of a config's values that are not mappings."""
+    if not isinstance(node, dict):
+        return {path}
+    return set().union(*(config_leaves(v, f"{path}.{k}" if path else k)
+                         for k, v in node.items()))
+
+
+def test_every_key_of_the_shipped_and_benchmark_configs_is_read(tmp_path, monkeypatch):
+    """Each key of every benchmark workload config at seed 0, the shipped
+    presets among them, is read by its pipeline through cfg_get: no
+    config carries a dead key.  A side-2 key counts as read when side 1 served as side 2 and
+    the side-1 key was read."""
+    from redbergman import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    reads, sides = set(), []
+    real_get, real_side = cli.cfg_get, cli.build_side
+
+    def spy_get(cfg, path, *args, **kwargs):
+        value = real_get(cfg, path, *args, **kwargs)
+        if not isinstance(value, dict):
+            reads.add(path)
+        return value
+
+    monkeypatch.setattr(cli, "cfg_get", spy_get)
+    monkeypatch.setattr(cli, "build_side",
+                        lambda cfg, suffix="": sides.append(suffix) or real_side(cfg, suffix))
+    # the presets workload is every shipped preset as shipped
+    runs = [(name, *run) for name, configs in workloads.WORKLOADS.items() for run in configs(0)]
+    assert sorted(label for name, label, _, _ in runs if name == "presets") == preset_names()
+    unread = {}
+    for workload, label, command, cfg in runs:
+        reads.clear()
+        sides.clear()
+        assert cli.execute(command, cfg, str(tmp_path / workload)) == 0
+        for leaf in config_leaves(cfg):
+            block, _, rest = leaf.partition(".")
+            twin = f"{block[:-1]}.{rest}" if block in ("domain2", "quadrature2", "basis2") else None
+            if leaf not in reads and not ("2" not in sides and twin in reads):
+                unread.setdefault(f"{workload}/{label}", []).append(leaf)
+    assert unread == {}

@@ -47,7 +47,7 @@ from redbergman import (
 )
 from redbergman import cli, kernel
 from redbergman.errors import DegenerateBasisError, EvaluationError
-from redbergman.holobasis import BasisElement, RawBasis
+from redbergman.holobasis import RawBasis
 from redbergman.oracles import (
     annulus_kernel,
     disc_kernel,
@@ -110,7 +110,7 @@ def test_gram_refuses_weight_vanishing_at_a_node(polar):
 def test_gram_nonfinite_value_reports_element_and_node():
     dom = GenericDomain(inside=lambda z: True, bbox=(0.0, 1.0, 0.0, 1.0))
     rule = build_generic_quadrature(dom, 10)
-    bad = RawBasis((BasisElement(-1, rule.nodes[0]),), dom)
+    bad = RawBasis(rule.nodes[0], (-1,), dom)
     with pytest.raises(EvaluationError):
         gram_matrix(bad, rule, ONE)
 
@@ -119,7 +119,7 @@ def test_polar_gram_nonfinite_value_reports_element_and_ring():
     # r^-300 overflows on the innermost ring, near radius 0.03
     rule = build_annulus_quadrature(0.0, 0.01, 1.0, 8, 16)
     bad = laurent_basis(0.0, -300, -299, rule.domain)
-    with pytest.raises(EvaluationError, match=r"\^-300\) is non-finite at node \(0\.0"):
+    with pytest.raises(EvaluationError, match=r"\^-300 is non-finite at node \(0\.0"):
         gram_matrix(bad, rule, ONE)
 
 
@@ -255,9 +255,9 @@ def test_polar_gram_matches_dense_on_presets(name, tmp_path, monkeypatch):
         # every preset runs on a polar rule with a basis centred at its
         # centre, under a weight that is radial about it
         assert rule.polar is not None
-        assert all(e.center == rule.polar.center for e in basis.elements)
+        assert basis.center == rule.polar.center
         assert_polar_gram_matches_dense(basis, rule, weight)
-        powers = np.array([e.power for e in basis.elements])
+        powers = np.array(basis.powers)
         nu = np.asarray(weight(rule.nodes), dtype=float)
         got = kernel._polar_gram(powers, rule.polar, nu)
         want = complex_product_polar_gram(powers, rule.polar, nu)
@@ -487,10 +487,9 @@ def test_dense_gram_matches_complex_product(make_rule, monkeypatch):
 def test_dense_gram_names_the_first_non_finite_value_in_a_later_block():
     rule = scattered_rule(2 * kernel.GRAM_BLOCK + 123)
     node = rule.nodes[kernel.GRAM_BLOCK + 57]
-    bad = BasisElement(-1, node)
-    basis = RawBasis((BasisElement(0, 0j), BasisElement(1, 0j), bad), rule.domain)
-    with pytest.raises(EvaluationError, match=re.escape(f"element {bad!r} is non-finite "
-                                                        f"at node {node}")):
+    basis = RawBasis(node, (0, 1, -1), rule.domain)
+    with pytest.raises(EvaluationError, match=re.escape(f"element (z - {node})^-1 is "
+                                                        f"non-finite at node {node}")):
         gram_matrix(basis, rule, ONE)
 
 
@@ -532,7 +531,7 @@ def test_polar_gram_reads_only_the_needed_frequencies(rule, powers):
 def test_gram_norm_out_of_range_names_the_element(radius, degree, norm):
     rule = build_disc_quadrature(0.0, radius, 40, 160)
     basis = monomial_basis(0.0, degree, rule.domain)
-    with pytest.raises(DegenerateBasisError, match=rf"\(z - 0j\)\^\d+\) has Gram norm {norm}"):
+    with pytest.raises(DegenerateBasisError, match=rf"\(z - 0j\)\^\d+ has Gram norm {norm}"):
         gram_matrix(basis, rule, ONE)
 
 
@@ -547,20 +546,17 @@ def test_orthonormalize_disc_coefficients():
 
 
 def test_orthonormalize_drops_dependent_element():
-    # (z-0)^0 and (z-1)^0 are distinct keys but the same constant
-    rule = build_disc_quadrature(0.0, 1.0, 10, 20)
-    basis = RawBasis((BasisElement(0, 0.0), BasisElement(0, 1.0),
-                      BasisElement(1, 0.0)), rule.domain)
-    onb = orthonormalize(basis, rule, ONE)
-    assert onb.retained_count == 2
+    # on one ring of 4 nodes z^4 is r^4 z^0: distinct powers, one function
+    rule = build_disc_quadrature(0.0, 1.0, 1, 4)
+    onb = orthonormalize(monomial_basis(0.0, 4, rule.domain), rule, ONE)
+    assert onb.retained_count == 4
 
 
 @pytest.mark.parametrize("weight", [ONE, PowerWeight(1.0)], ids=["constant", "power"])
 def test_node_sums_of_a_system_that_drops_elements(weight):
-    # the powers up to 3 about 0.2 span nothing new: four of 13 elements drop
-    rule = build_disc_quadrature(0.0, 1.0, 20, 40)
-    basis = RawBasis(tuple(BasisElement(n, 0.0) for n in range(9))
-                     + tuple(BasisElement(n, 0.2) for n in range(4)), rule.domain)
+    # on one ring of 9 nodes z^(9 + n) is r^9 z^n: four of 13 elements drop
+    rule = build_disc_quadrature(0.0, 1.0, 1, 9)
+    basis = monomial_basis(0.0, 12, rule.domain)
     onb = orthonormalize(basis, rule, weight)
     n = onb.retained_count
     assert n == 9 < len(basis)

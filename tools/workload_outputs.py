@@ -5,9 +5,11 @@
 Runs each config of the four benchmark workloads (perfbench/workloads.py)
 at seeds 0 and 7 through ``redbergman.cli.execute``, with redbergman
 imported from the source directory SRC and BLAS pinned to one thread, and
-writes each run under OUT/<workload>-seed<seed>/<label>/.  Two source
-trees write the same bytes when ``diff -r`` of their OUT directories is
-empty.  Exits 1 when any config exits non-zero.
+writes each run's directory as OUT/<workload>-seed<seed>/<label>/, named
+by its label rather than by its config's hash, so that a changed config
+shows as a config.yaml and config_hash diff.  Two source trees write the
+same bytes when ``diff -r`` of their OUT directories is empty.  OUT must
+not exist yet.  Exits 1 when any config exits non-zero.
 """
 
 import contextlib
@@ -25,6 +27,8 @@ def main(argv):
     if len(argv) != 2:
         raise SystemExit(__doc__.split("\n\n")[1])
     src, out = Path(argv[0]).resolve(), Path(argv[1])
+    if out.exists():
+        raise SystemExit(f"{out} exists: each run is renamed to its label, so give a new OUT")
     for var in THREAD_VARS:
         os.environ[var] = "1"  # before numpy loads BLAS
     sys.dont_write_bytecode = True  # import workloads.py without writing beside it
@@ -38,8 +42,13 @@ def main(argv):
     for workload, configs in WORKLOADS.items():
         for seed in SEEDS:
             for label, command, cfg in configs(seed):
+                runs = out / f"{workload}-seed{seed}"
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.execute(command, cfg, str(out / f"{workload}-seed{seed}" / label))
+                    code = cli.execute(command, cfg, str(runs / ".run"))
+                # the one <command>-<hash> directory the run wrote, renamed to its label
+                (run_dir,) = (runs / ".run").iterdir()
+                run_dir.rename(runs / label)
+                (runs / ".run").rmdir()
                 if code != 0:
                     failed.append(f"{workload} seed {seed} {label}: exit {code}")
     print("\n".join(failed) or "every config exited 0")
