@@ -57,6 +57,11 @@ from .transform import (
 OUTPUT_ENV = "REDBERGMAN_OUT"
 DEFAULT_OUT = "redbergman-out"
 
+# the top-level config keys; any other is refused as a misspelling
+_CONFIG_KEYS = {"run", "seed", "tolerance", "drop_tol", "weight", "map", "correspondence", "grid",
+                "oracle", "checks", "output", "adjoint", "recover",
+                *(k + side for k in ("domain", "quadrature", "basis") for side in ("", "2"))}
+
 KNOWN_CHECKS = ("conjugate_symmetry", "diagonal_positivity", "reproduce_basis",
                 "self_reproduction", "dirichlet_pairing")
 
@@ -284,23 +289,24 @@ def build_correspondence(cfg, d1, d2, key="correspondence"):
 
 def build_grid(cfg, key, seed=0):
     kind = cfg_get(cfg, f"{key}.kind")
+    if kind == "points" and cfg_get(cfg, f"{key}.center", None) is not None:
+        raise ConfigError(f"'{key}.center' is not a field of a points grid")
     center = cfg_get(cfg, f"{key}.center", 0j, complex)
-    if kind in ("cartesian", "random_disc"):
-        rmax = cfg_get(cfg, f"{key}.rmax", kind=float)
-        n = cfg_get(cfg, f"{key}.n", kind=POSITIVE_INT)
-        if rmax < 0:
-            raise ConfigError(f"'{key}.rmax' must be >= 0, got {rmax}")
+    radius = {"cartesian": "rmax", "random_disc": "rmax", "polar": "r_min"}.get(kind)
+    r = cfg_get(cfg, f"{key}.{radius}", kind=float) if radius else 0.0
+    if r < 0:  # it would mirror the points through the centre
+        raise ConfigError(f"'{key}.{radius}' must be >= 0, got {r}")
     try:
         if kind == "cartesian":
-            pts = disc_grid(rmax, n, center)
+            pts = disc_grid(r, cfg_get(cfg, f"{key}.n", kind=POSITIVE_INT), center)
         elif kind == "polar":
-            pts = annulus_grid(cfg_get(cfg, f"{key}.r_min", kind=float),
-                               cfg_get(cfg, f"{key}.r_max", kind=float),
+            pts = annulus_grid(r, cfg_get(cfg, f"{key}.r_max", kind=float),
                                cfg_get(cfg, f"{key}.n_radial", kind=POSITIVE_INT),
                                cfg_get(cfg, f"{key}.n_angular", kind=POSITIVE_INT), center)
         elif kind == "random_disc":
+            n = cfg_get(cfg, f"{key}.n", kind=POSITIVE_INT)
             rng = np.random.default_rng(seed)
-            pts = center + rmax * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+            pts = center + r * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
         elif kind == "points":
             pts = np.asarray(cfg_list(cfg, f"{key}.values", complex))
         else:
@@ -604,28 +610,26 @@ def build_checks(cfg):
     return {name: cfg_get(cfg, f"checks.{name}", kind=float) for name in checks}
 
 
-def _run_checks(tols, ev, zs, run):
-    """Structural-invariant checks, each gated on its own tolerance.
-
-    ``tols`` maps check name -> tolerance (``build_checks``).  Returns
-    0.0 when every check passes and inf otherwise, so any overall
-    ``tolerance`` gates the run on check success.
-    """
+def _run_checks(tols, onb, zs, run):
+    """Structural-invariant checks of the system ``onb``, each gated on its
+    own tolerance in ``tols`` (``build_checks``).  Returns 0.0 when every
+    check passes and inf otherwise, so any overall ``tolerance`` gates the
+    run on check success."""
     sample = zs[:: max(1, len(zs) // 8)][:8]
-    if {"conjugate_symmetry", "diagonal_positivity"} & tols.keys():
-        k = ev.eval_kernel_grid(sample, sample)
-    # every node sum is an entry of one node_sums matrix in orthonormal
-    # coordinates: the first m elements e_j, K(., zeta) and K(., P) = conj(phi(P))
-    # for the points P of sample[:4], and 2 (z - c0) for the Dirichlet pairing last
-    onb = ev.onb
-    zeta = complex(sample[len(sample) // 2])
+    # phi at the samples, evaluated once, gives K on the sample grid, zeta
+    # (the middle sample) and the points P of sample[:4].  Every node sum is
+    # an entry of one node_sums matrix in orthonormal coordinates: the first
+    # m elements e_j, K(., zeta), K(., P) = conj(phi(P)) and 2 (z - c0) last
+    p = onb.phi_values(sample)
+    k = p @ p.conj().T
+    mid = len(sample) // 2
+    zeta = complex(sample[mid])
     c0 = getattr(onb.rule.domain, "center", 0.0)
     m = min(5, onb.retained_count) if "reproduce_basis" in tols else 0
-    zetas = [zeta] if {"reproduce_basis", "dirichlet_pairing"} & tols.keys() else []
-    self_pts = sample[:4] if "self_reproduction" in tols else sample[:0]
+    zetas = [mid] if {"reproduce_basis", "dirichlet_pairing"} & tols.keys() else []
+    ps = p[:4] if "self_reproduction" in tols else p[:0]
     extra = [lambda z: 2.0 * (z - c0)] if "dirichlet_pairing" in tols else []
-    rows = np.vstack([np.eye(m, onb.retained_count),
-                      onb.phi_values(np.r_[zetas, self_pts]).conj()])
+    rows = np.vstack([np.eye(m, onb.retained_count), p[zetas].conj(), ps.conj()])
     s = onb.node_sums(rows, extra) if len(rows) else None
     own = slice(m + len(zetas), len(rows))
     all_ok = True
@@ -635,12 +639,10 @@ def _run_checks(tols, ev, zs, run):
         elif name == "diagonal_positivity":
             res = 0.0 if np.all(np.diagonal(k).real > 0) else float("inf")
         elif name == "reproduce_basis":
-            want = onb.phi_values(np.asarray(zeta))[:m]
-            res = float(np.max(np.abs(s[:m, m] - want)))
+            res = float(np.max(np.abs(s[:m, m] - p[mid, :m])))
         elif name == "self_reproduction":
-            p = onb.phi_values(self_pts)
             # K(P_i, P_j) as 1-D sums, so an entry does not depend on the batch
-            res = float(np.max(np.abs(np.sum(p[:, None] * p.conj(), axis=-1) - s[own, own].T)))
+            res = float(np.max(np.abs(np.sum(ps[:, None] * ps.conj(), axis=-1) - s[own, own].T)))
         elif name == "dirichlet_pairing":
             res = abs(s[-1, m] - 2.0 * (zeta - c0))
         ok = res <= tol
@@ -677,7 +679,7 @@ def run_kernel(cfg, run: RunDir):
         gate = float(np.max(np.abs(got - want) / np.abs(want)))
         run.add(oracle_max_rel_err=gate)
     # np.maximum keeps a NaN residual, which max() may drop
-    return float(np.maximum(gate, _run_checks(tols, ev, zs, run)))
+    return float(np.maximum(gate, _run_checks(tols, ev.onb, zs, run) if tols else 0.0))
 
 
 def run_verify(cfg, run: RunDir):
@@ -765,8 +767,8 @@ def run_recover(cfg, run: RunDir):
     d1, orthonormal, *_ = build_side(cfg)
     zs = _require_inside(build_grid(cfg, "grid.z", cfg_get(cfg, "seed", 0, int)), d1, "grid.z")
     f = build_map(cfg, d1, target)
-    ev = KernelEvaluator(orthonormal(build_weight(cfg)))
-    rec = recover_map(f, ev, zs, probe=probe, fallback_probe=fallback)
+    rec = recover_map(f, orthonormal(build_weight(cfg)), zs, probe=probe,
+                      fallback_probe=fallback)
     fz = f(zs)
     err = np.abs(rec.map_estimate - fz)
     sup_err = float(np.max(err[rec.valid])) if np.any(rec.valid) else float("inf")
@@ -847,6 +849,10 @@ def _require_string_keys(node, path=""):
 
 def execute(subcommand, cfg, out_root, verbose=False):
     _require_string_keys(cfg)
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"'{unknown[0]}' is not a config field; known: "
+                          f"{', '.join(sorted(_CONFIG_KEYS))}")
     run = RunDir(out_root, subcommand, cfg)
     run.add(seed=cfg_get(cfg, "seed", 0, int))
     tolerance = cfg_get(cfg, "tolerance", None, float)

@@ -346,13 +346,8 @@ def orthonormalize(basis: RawBasis, rule: QuadratureRule, weight: WeightFn,
 
 class KernelEvaluator:
     """Evaluates the kernel of an orthonormal system and its
-    anti-holomorphic derivatives.
-
-    Evaluation methods are pure and safe to call concurrently.  The
-    quadrature checks read the nodes through the system's own
-    ``onb.node_sums``, in orthonormal coordinates, with the weight at
-    the nodes held once per system (``onb.node_nu``).
-    """
+    anti-holomorphic derivatives; its methods are pure and safe to call
+    concurrently."""
 
     def __init__(self, onb: OrthonormalBasis):
         self.onb = onb
@@ -376,14 +371,11 @@ class KernelEvaluator:
             return np.conj(self.eval_kernel(w, z))
         return complex(self.eval_kernel_grid(z, w)[0, 0])
 
-    def eval_kernel_grid(self, zs, ws) -> np.ndarray:
-        """(len(zs), len(ws)) matrix of kernel values."""
-        return self.eval_kernel_dbar(zs, ws, 0)
-
-    def eval_kernel_dbar(self, zs, ws, beta: int) -> np.ndarray:
-        """(len(zs), len(ws)) matrix of the beta-th derivative in conj(w),
-        sum_k phi_k(z) conj(phi_k^(beta)(w)), by analytic differentiation
-        of the conjugated factor; a negative beta raises ValueError."""
+    def eval_kernel_grid(self, zs, ws, beta: int = 0) -> np.ndarray:
+        """(len(zs), len(ws)) matrix of kernel values, or of their beta-th
+        derivative in conj(w), sum_k phi_k(z) conj(phi_k^(beta)(w)), by
+        analytic differentiation of the conjugated factor; a negative beta
+        raises ValueError."""
         pz = self.onb.phi_values(np.atleast_1d(np.asarray(zs, dtype=complex)))
         pw = self.onb.phi_deriv_values(np.atleast_1d(np.asarray(ws, dtype=complex)), beta)
         return pz @ pw.conj().T

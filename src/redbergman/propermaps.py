@@ -127,9 +127,6 @@ class ProperMap:
         self.v1, self.v2 = self.graph.v1, self.graph.v2
         self._dnumer = P.polysub(P.polymul(P.polyder(numer), denom),
                                  P.polymul(numer, P.polyder(denom)))
-        # f'' = (dnumer' denom - 2 dnumer denom') / denom^3
-        self._d2numer = P.polysub(P.polymul(P.polyder(self._dnumer), denom),
-                                  2.0 * P.polymul(self._dnumer, P.polyder(denom)))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -138,10 +135,6 @@ class ProperMap:
     def deriv(self, z):
         z = np.asarray(z, dtype=complex)
         return P.polyval(z, self._dnumer) / P.polyval(z, self._denom) ** 2
-
-    def deriv2(self, z):
-        z = np.asarray(z, dtype=complex)
-        return P.polyval(z, self._d2numer) / P.polyval(z, self._denom) ** 3
 
     def critical_points(self) -> np.ndarray:
         """Zeros of the f' numerator inside the source, found apart from
@@ -315,9 +308,10 @@ def _branch_points(derivs, cand, lead, rho=0.0) -> list:
 class CorrespondenceModel:
     """Algebraic proper correspondence with graph Q(z, w) = 0, ``coeffs[i,
     j]`` multiplying z^i w^j.  p (forward branch count) is the degree in
-    w, q (backward) the degree in z.  The singular sets v1 in d1 and v2 in
-    d2 hold the points over which forward (backward) branches collide,
-    wherever the colliding roots lie, or escape to infinity."""
+    w, q (backward) the degree in z, each at least 1.  The singular sets
+    v1 in d1 and v2 in d2 hold the points over which forward (backward)
+    branches collide, wherever the colliding roots lie, or escape to
+    infinity."""
 
     coeffs: np.ndarray
     d1: PlanarDomain
@@ -325,8 +319,12 @@ class CorrespondenceModel:
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
-        if c.shape[0] < 2 and c.shape[1] < 2:
-            raise ValueError("correspondence polynomial must depend on z or w")
+        # p and q are Q's true degrees: identically zero top rows and columns go
+        c = c[:np.flatnonzero(c.any(axis=1)).max(initial=-1) + 1,
+              :np.flatnonzero(c.any(axis=0)).max(initial=-1) + 1]
+        if min(c.shape) < 2:
+            raise ValueError(f"Q must have degree >= 1 in z and in w, got degrees "
+                             f"{max(c.shape[0] - 1, 0)} and {max(c.shape[1] - 1, 0)}")
         i, j = np.ogrid[:c.shape[0], :c.shape[1]]
         cz, cw = np.roll(c * i, -1, axis=0), np.roll(c * j, -1, axis=1)
         # Q, Q_z, Q_w, Q_zz, Q_zw, Q_ww, each in the shape of c
@@ -347,7 +345,7 @@ class CorrespondenceModel:
         return self.coeffs.shape[0] - 1
 
     def qval(self, z, w, k=0):
-        """Q (or with k = 1, 2 its z- or w-derivative) at z, w broadcast."""
+        """Q, or its partial k (1 Q_z, 2 Q_w, 3 Q_zz, 4 Q_zw, 5 Q_ww), at z, w broadcast."""
         z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
         return P.polyval2d(z, w, self._derivs[..., k])
 

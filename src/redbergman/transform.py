@@ -19,9 +19,9 @@ other grid: 2*nz*nw*n complex multiply-adds, not (p + q)*nz*nw*n.
 Sweeps leave out the grid points within GRID_EXCLUSION of the singular
 sets (for a map, its graph's: the critical values) and record the kept
 sub-grid; a query outside those zones whose branches cannot be resolved
-raises its error.  Map recovery differentiates the kernel branch sum exactly in
-conj(w), from the analytic kernel derivative and the second derivatives
-of the local inverses.
+raises its error.  Map recovery takes the plain and the differentiated
+branch sums of the source system at one probe, with the local inverses'
+second derivatives read off the map's graph, then one product.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearCriticalError
-from .kernel import KernelEvaluator, OrthonormalBasis
+from .kernel import OrthonormalBasis
 from .propermaps import CorrespondenceModel, ProperMap, far_from
 
 __all__ = [
@@ -192,8 +192,6 @@ class MapRecovery:
     """
 
     points: np.ndarray
-    g0: np.ndarray
-    g1: np.ndarray
     ratio_half: np.ndarray
     map_estimate: np.ndarray
     probe: complex
@@ -202,17 +200,23 @@ class MapRecovery:
     excluded: int
 
 
-def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
-                fallback_probe=0.1) -> MapRecovery:
-    """Recover f from the source kernel via the transformation formula.
+def _second_derivatives(graph: CorrespondenceModel, pts, der, w):
+    """F''(w) of backward branches F of the graph Q from pts = F(w) and der
+    = F'(w): Q(F(w), w) = 0 differentiated twice, Q_zz F'^2 + 2 Q_zw F' +
+    Q_ww + Q_z F'' = 0."""
+    qz, qzz, qzw, qww = (graph.qval(pts, w, k) for k in (1, 3, 4, 5))
+    return -(qzz * der ** 2 + 2.0 * qzw * der + qww) / qz
 
-    Evaluates g0(z) = sum_k K(z, F_k(w0)) conj(F_k'(w0)) and its exact
-    derivative in conj(w) at w0,
-        g1(z) = sum_k dK(z, F_k) conj(F_k')^2 + K(z, F_k) conj(F_k''),
-    where dK is the analytic conj-slot kernel derivative and
-    F_k'' = -f''(F_k) F_k'^3, then forms g1/(2*g0).  The target must be
-    the unit disc.  If the probe hits a critical value it moves to
-    fallback_probe.
+
+def recover_map(f: ProperMap, onb: OrthonormalBasis, z_grid, probe=0.0,
+                fallback_probe=0.1) -> MapRecovery:
+    """Recover f from the kernel of the source system ``onb``: at the
+    local inverses F_k of the probe w0, the branch sums b0 = sum_k F_k'
+    phi(F_k) and b1 = sum_k F_k'^2 phi'(F_k) + F_k'' phi(F_k) of its
+    elements phi, then g0 = phi(z) conj(b0) = sum_k K(z, F_k) conj(F_k'),
+    its exact derivative g1 = phi(z) conj(b1) in conj(w) at w0, and
+    g1/(2*g0).  The target must be the unit disc.  If the probe hits a
+    critical value it moves to fallback_probe.
     """
     zs = np.asarray(z_grid, dtype=complex)
     near = ~far_from(np.array([probe, fallback_probe], dtype=complex), f.v2, GRID_EXCLUSION)
@@ -223,10 +227,10 @@ def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
     w0 = complex(fallback_probe if shifted else probe)
 
     pts, der = (a[0] for a in branch_table(f, [w0], forward=False))
-    der2 = -f.deriv2(pts) * der ** 3
-    k = ev.eval_kernel_grid(zs, pts)
-    g0 = k @ der.conj()
-    g1 = ev.eval_kernel_dbar(zs, pts, 1) @ (der ** 2).conj() + k @ der2.conj()
+    phi = onb.phi_values(pts)
+    b = np.stack([der @ phi, der ** 2 @ onb.phi_deriv_values(pts, 1)
+                  + _second_derivatives(f.graph, pts, der, w0) @ phi])
+    g0, g1 = (onb.phi_values(zs) @ b.conj().T).T
 
     valid = np.abs(g0) >= 1e-12
     ratio = np.full(zs.shape, np.nan + 0j)
@@ -235,8 +239,7 @@ def recover_map(f: ProperMap, ev: KernelEvaluator, z_grid, probe=0.0,
     if w0 != 0:
         estimate[valid] = ratio[valid] / (1.0 + ratio[valid] * np.conj(w0))
     return MapRecovery(
-        points=zs, g0=g0, g1=g1, ratio_half=ratio, map_estimate=estimate,
+        points=zs, ratio_half=ratio, map_estimate=estimate,
         probe=w0, probe_shifted=shifted, valid=valid,
         excluded=int(np.sum(~valid)),
     )
-

@@ -174,10 +174,10 @@ def test_criterion_8_map_recovery():
     grid = disc_grid(0.6, 21)
 
     f = BlaschkeProduct([0.3, -0.2])
-    rec = recover_map(f, ev, grid)
+    rec = recover_map(f, ev.onb, grid)
     blaschke_err = float(np.max(np.abs(rec.ratio_half[rec.valid] - f(grid)[rec.valid])))
 
-    rec_id = recover_map(PowerMap(1), ev, grid)
+    rec_id = recover_map(PowerMap(1), ev.onb, grid)
     id_err = float(np.max(np.abs(rec_id.ratio_half - grid)))
 
     report("criterion 8 (kernel-ratio map recovery)",

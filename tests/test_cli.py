@@ -472,10 +472,28 @@ NO_CLOSED_FORM = "oracle: no closed-form kernel for weight "
                                       "domain={type: generic, bbox: [-1, 1, -1, 1], inequalities: [{sign: '<', poly: [[2, 0, 1.0], [0, 2, 1.0], [0, 0, -1.0]]}]}"],
      NO_CLOSED_FORM + "{'type': 'constant'} on domain.type generic"),
     ("kernel", "disc_kernel_oracle", ["oracle=disc"], "'oracle' must be a mapping, got 'disc'"),
+    # a negative r_min would mirror the points through the centre
+    ("verify", "proper_square_disc",
+     ["grid.z={kind: polar, r_min: -0.5, r_max: 0.5, n_radial: 3, n_angular: 4}"],
+     "'grid.z.r_min' must be >= 0, got -0.5"),
+    ("verify", "proper_square_disc", ["grid.z={kind: points, values: [0.1], center: 0.3}"],
+     "'grid.z.center' is not a field of a points grid"),
+    ("verify", "proper_square_disc", ["drop_tl=0.5", "gird.z.n=3"],
+     "'drop_tl' is not a config field"),
+    # Q = z - 0.5 and Q = w - 0.5 would pass vacuously, both sides being 0
+    ("verify", "corr_sqrt_disc", ["correspondence.terms=[[1, 0, 1.0], [0, 0, -0.5]]"],
+     "correspondence: Q must have degree >= 1 in z and in w, got degrees 1 and 0"),
+    ("verify", "corr_sqrt_disc", ["correspondence.terms=[[0, 1, 1.0], [0, 0, -0.5]]"],
+     "correspondence: Q must have degree >= 1 in z and in w, got degrees 0 and 1"),
+    # the operator bound would divide 0 by 0
+    ("adjoint", "adjoint_disc", ["correspondence.terms=[[1, 0, 1.0], [0, 0, -0.5]]"],
+     "correspondence: Q must have degree >= 1 in z and in w, got degrees 1 and 0"),
 ], ids=["negative-tolerance", "probe-outside", "fallback-outside", "recover-domain2",
         "identity-map", "power-alpha-inf", "radial-coeff-inf", "random-rmax-negative",
         "cartesian-rmax-negative", "oracle-radial_poly", "oracle-power-off-centre",
-        "oracle-power-on-annulus", "oracle-generic", "oracle-not-a-mapping"])
+        "oracle-power-on-annulus", "oracle-generic", "oracle-not-a-mapping",
+        "polar-r_min-negative", "points-center", "misspelt-top-level-keys",
+        "correspondence-z-only", "correspondence-w-only", "adjoint-correspondence-z-only"])
 def test_out_of_range_fields_are_config_errors_before_the_numerics(
         tmp_path, capsys, monkeypatch, command, preset, overrides, message):
     from redbergman import cli
@@ -562,6 +580,23 @@ def test_a_nan_residual_fails_its_gate(tmp_path, monkeypatch, command, preset, t
     fields = dict(line.split(" = ", 1) for line in summary.splitlines())
     assert fields["status"] == "gate_failed"
     assert fields["gate_value"] == gate
+
+
+@pytest.mark.parametrize("command, preset", [("verify", "corr_sqrt_disc"),
+                                             ("adjoint", "adjoint_disc")])
+def test_zero_top_terms_of_a_correspondence_change_nothing(tmp_path, command, preset):
+    # zero w^3 and z^2 terms once counted as degrees: p = 3 found a branch
+    # too few (exit 3), and the operator bound divided by the wrong p*q
+    cfg = write_cfg(tmp_path, preset_text(preset))
+    summaries = []
+    for n, extra in enumerate(("", ", [0, 3, 0.0], [2, 0, 0.0]")):
+        out = tmp_path / str(n)
+        terms = f"correspondence.terms=[[0, 2, 1.0], [1, 0, -1.0]{extra}]"
+        assert main(["--output-dir", str(out), command, cfg, "--set", terms]) == 0
+        (run_dir,) = out.iterdir()
+        lines = (run_dir / "summary.txt").read_text().splitlines()
+        summaries.append([line for line in lines if not line.startswith("config_hash")])
+    assert summaries[0] == summaries[1]
 
 
 def test_adjoint_n_elements_above_the_retained_counts_is_a_config_error(tmp_path, capsys):
@@ -702,7 +737,7 @@ def test_checks_evaluate_the_raw_basis_on_the_nodes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(RawBasis, "values", counting)
     monkeypatch.setattr(cli.KernelEvaluator, "eval_kernel", counting_scalar)
     run = cli.RunDir(str(tmp_path), "kernel", cfg)
-    assert cli._run_checks(cli.build_checks(cfg), ev, zs, run) == 0.0
+    assert cli._run_checks(cli.build_checks(cfg), ev.onb, zs, run) == 0.0
     assert max(np.size(pts) for pts in calls) <= GRAM_BLOCK
     # the node blocks, in call order, are the nodes, each exactly once
     node_blocks = [pts for pts in calls if np.shares_memory(pts, nodes)]
@@ -723,7 +758,7 @@ def test_checks_never_hold_a_node_by_basis_array(tmp_path):
         run = cli.RunDir(str(tmp_path), "kernel", cfg)
         tracemalloc.start()
         try:
-            assert cli._run_checks(cli.build_checks(cfg), ev, zs, run) == 0.0
+            assert cli._run_checks(cli.build_checks(cfg), ev.onb, zs, run) == 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

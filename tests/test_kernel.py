@@ -624,23 +624,23 @@ def test_eval_kernel_dbar():
     ev = disc_evaluator()
     z, w = 0.3 - 0.2j, 0.1 + 0.4j
     zs, ws = disc_grid(0.7, 9), disc_grid(0.7, 8)
-    assert np.array_equal(ev.eval_kernel_dbar(zs, ws, 0), ev.eval_kernel_grid(zs, ws))
+    assert np.array_equal(ev.eval_kernel_grid(zs, ws, 0), ev.eval_kernel_grid(zs, ws))
     zz = np.array([0.7, -0.5 + 0.3j, 0.1j])
-    assert ev.eval_kernel_dbar(zz, [0.0], 1)[:, 0] == pytest.approx(2.0 * zz / math.pi, abs=1e-6)
+    assert ev.eval_kernel_grid(zz, [0.0], 1)[:, 0] == pytest.approx(2.0 * zz / math.pi, abs=1e-6)
     # second conjugate-slot derivative of the series at w = 0: 6 z^2 / pi
-    assert ev.eval_kernel_dbar(zz, [0.0], 2)[:, 0] == pytest.approx(6.0 * zz**2 / math.pi,
+    assert ev.eval_kernel_grid(zz, [0.0], 2)[:, 0] == pytest.approx(6.0 * zz**2 / math.pi,
                                                                     abs=1e-6)
     # Hermitian-derivative consistency against first-slot finite differences
     h = 1e-5
     fd = (ev.eval_kernel(w + h, z) - ev.eval_kernel(w - h, z)) / (2 * h)
-    exact = ev.eval_kernel_dbar([z], [w], 1)[0, 0]
+    exact = ev.eval_kernel_grid([z], [w], 1)[0, 0]
     assert abs(np.conj(fd) - exact) / abs(exact) < 1e-5
 
 
 def test_eval_kernel_dbar_grid_matches_disc_oracle():
     ev = disc_evaluator()
     zs, ws = disc_grid(0.7, 9), disc_grid(0.7, 8)
-    got = ev.eval_kernel_dbar(zs, ws, 1)
+    got = ev.eval_kernel_grid(zs, ws, 1)
     want = disc_kernel_dbar(zs[:, None], ws[None, :])
     assert got.shape == (len(zs), len(ws))
     # 1.6e-13 measured against a scale of 1.6
@@ -835,7 +835,7 @@ def test_checks_on_a_generic_domain_never_form_the_node_matrix(tmp_path):
     cfg = yaml.safe_load(cli.preset_text("invariants_disc"))
     assert set(cfg["checks"]) == set(cli.KNOWN_CHECKS)
     run = cli.RunDir(str(tmp_path), "kernel", cfg)
-    assert cli._run_checks(cli.build_checks(cfg), ev, RING_POINTS, run) == 0.0
+    assert cli._run_checks(cli.build_checks(cfg), ev.onb, RING_POINTS, run) == 0.0
     assert all(run.summary[f"check_{name}_ok"] for name in cli.KNOWN_CHECKS)
     assert "_node_phi" not in ev.__dict__
 

@@ -26,6 +26,25 @@ from redbergman import (
 from redbergman.errors import BranchCountError, SingularLocusError
 
 
+@pytest.mark.parametrize("terms, degrees", [
+    ([(1, 0, 1.0), (0, 0, -0.5)], "1 and 0"),
+    ([(0, 1, 1.0), (0, 0, -0.5)], "0 and 1"),
+    ([(0, 2, 0.0), (1, 0, 1.0)], "1 and 0"),
+], ids=["z-only", "w-only", "zero-w-term"])
+def test_a_correspondence_has_degree_one_in_each_variable(terms, degrees):
+    with pytest.raises(ValueError, match=f"degree >= 1 in z and in w, got degrees {degrees}"):
+        corr_from_terms(terms)
+
+
+def test_zero_top_terms_are_not_degrees():
+    corr = corr_from_terms([(0, 2, 1.0), (1, 0, -1.0), (0, 3, 0.0), (2, 0, 0.0)])
+    assert (corr.p, corr.q) == (W2_MINUS_Z.p, W2_MINUS_Z.q) == (2, 1)
+    assert np.array_equal(corr.coeffs, W2_MINUS_Z.coeffs)
+    for forward in (True, False):
+        got, want = (branch_table(c, [0.3 + 0.1j], forward) for c in (corr, W2_MINUS_Z))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_power_map_values_and_derivative():
     f = PowerMap(2)
     assert f(0.5) == pytest.approx(0.25)

@@ -427,7 +427,7 @@ def test_recover_with_explicit_regular_probe():
     f = BlaschkeProduct([0.3, -0.2])
     ev = disc_evaluator()
     grid = disc_grid(0.5, 9)
-    rec = recover_map(f, ev, grid, probe=0.2)
+    rec = recover_map(f, ev.onb, grid, probe=0.2)
     assert not rec.probe_shifted
     fz = f(grid)
     assert np.max(np.abs(rec.ratio_half - fz / (1.0 - fz * np.conj(0.2)))) < 1e-11
@@ -555,7 +555,7 @@ def test_sweep_with_no_kept_sample_fails_every_gate(model, z, w):
 def test_recover_identity_map():
     ev = disc_evaluator()
     grid = disc_grid(0.6, 9)
-    rec = recover_map(PowerMap(1), ev, grid)
+    rec = recover_map(PowerMap(1), ev.onb, grid)
     assert not rec.probe_shifted
     assert rec.excluded == 0
     assert np.max(np.abs(rec.ratio_half - grid)) < 1e-11
@@ -565,7 +565,7 @@ def test_recover_blaschke_product():
     f = BlaschkeProduct([0.3, -0.2])
     ev = disc_evaluator()
     grid = disc_grid(0.6, 11)
-    rec = recover_map(f, ev, grid)
+    rec = recover_map(f, ev.onb, grid)
     assert not rec.probe_shifted
     assert np.max(np.abs(rec.ratio_half - f(grid))) < 1e-10
 
@@ -574,7 +574,7 @@ def test_recover_power2_probe_shifts():
     f = PowerMap(2)
     ev = disc_evaluator()
     grid = disc_grid(0.6, 9)
-    rec = recover_map(f, ev, grid)
+    rec = recover_map(f, ev.onb, grid)
     assert rec.probe_shifted
     assert rec.probe == pytest.approx(0.1)
     # z = 0 is genuinely degenerate there (f'(0) = 0 kills both sides)
